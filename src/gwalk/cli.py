@@ -21,12 +21,17 @@ import numpy as np
 
 from . import continuum, geometry, interference, spectral, walk
 from .csvio import sha256_file, write_csv
-from .errors import ConfigurationError, WalkError
+from .errors import ConfigurationError, ConsistencyError, WalkError
 
 EXPERIMENTS = ("evolve", "spectrum", "rho-max", "unaffected-modes",
                "interference", "deltam-sweep", "continuum-check", "gw-angles")
 
 OUT_DIR_ENV = "GWALK_OUT"
+
+#: Largest norm drift |norm(end) - norm(start)| an evolve run may report.
+#: The step is unitary, so more than roundoff means it is broken: the run
+#: fails with exit code 3 and writes no outputs.
+NORM_DRIFT_TOL = 1e-10
 
 _TOP_KEYS = {"experiment", "lattice", "params", "gw", "resolution", "out_dir",
              "threads", "q", "steps", "epsilons", "q_list", "figures"}
@@ -336,6 +341,10 @@ def _run_evolve(cfg: RunConfig, out: Path, artifacts: list, metrics: dict):
     for j in range(cfg.steps):
         f = walk.step(f, j, provider, cfg.params)
         norms.append((j + 1, f.norm()))
+    drift = abs(norms[-1][1] - norms[0][1])
+    if drift > NORM_DRIFT_TOL:
+        raise ConsistencyError(
+            f"norm drift {drift:.3e} after {cfg.steps} steps exceeds {NORM_DRIFT_TOL:g}")
     norm_path = out / "evolve_norm.csv"
     artifacts.append((norm_path, write_csv(norm_path, ["step", "norm"], norms)))
     dens = f.density()
@@ -344,7 +353,7 @@ def _run_evolve(cfg: RunConfig, out: Path, artifacts: list, metrics: dict):
             for p1 in range(cfg.lattice[0]) for p2 in range(cfg.lattice[1])]
     artifacts.append((dens_path, write_csv(dens_path, ["pX", "pY", "density"], rows)))
     metrics["final_norm"] = norms[-1][1]
-    metrics["norm_drift"] = abs(norms[-1][1] - norms[0][1])
+    metrics["norm_drift"] = drift
 
 
 def _run_gw_angles(cfg: RunConfig, out: Path, artifacts: list, metrics: dict):

@@ -18,14 +18,12 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import DualTriad
-from .walk import (AngleProvider, SpinorField, WalkParams, step,
+from .walk import (_ETA, _LEVI, AngleProvider, SpinorField, WalkParams, step,
                    t_epsilon_field)
 
 GAMMA0 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 GAMMA1 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 GAMMA2 = np.array([[1j, 0.0], [0.0, -1j]], dtype=complex)
-
-_ETA_DIAG = (1.0, -1.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -38,7 +36,7 @@ class GammaRep:
         return (self.g0, self.g1, self.g2)[a]
 
     def lowered(self, a: int) -> np.ndarray:
-        return _ETA_DIAG[a] * self.raised(a)
+        return _ETA[a] * self.raised(a)
 
 
 def gamma_rep() -> GammaRep:
@@ -158,10 +156,6 @@ def hamiltonian_apply(field: SpinorField, h: HamiltonianField) -> SpinorField:
 # mass-like scalar in the continuum
 # ---------------------------------------------------------------------------
 
-_LEVI = {(0, 1, 2): 1.0, (1, 2, 0): 1.0, (2, 0, 1): 1.0,
-         (0, 2, 1): -1.0, (2, 1, 0): -1.0, (1, 0, 2): -1.0}
-
-
 def _dual_and_rate(series: Callable, t: float, h: float):
     d_now = series(t)
     if not isinstance(d_now, DualTriad):
@@ -184,7 +178,7 @@ def t0(series: Callable, t: float, h: float = 1e-6) -> float:
     for (a, b, c), sign in _LEVI.items():
         if b != 0:
             continue   # only the time derivative survives the block structure
-        total -= sign * _ETA_DIAG[c] * float(triad[:, a] @ rate[c, :])
+        total -= sign * _ETA[c] * float(triad[:, a] @ rate[c, :])
     return total
 
 
@@ -198,8 +192,8 @@ def t0_dual_form(series: Callable, t: float, h: float = 1e-6) -> float:
     triad = np.zeros((3, 3))
     triad[0, 0] = 1.0
     triad[1:, 1:] = np.linalg.inv(d_now.spatial)
-    e1_up = _ETA_DIAG[1] * triad[:, 1]
-    e2_up = _ETA_DIAG[2] * triad[:, 2]
+    e1_up = _ETA[1] * triad[:, 1]
+    e2_up = _ETA[2] * triad[:, 2]
     return float(e1_up @ rate[2, :] - e2_up @ rate[1, :])
 
 

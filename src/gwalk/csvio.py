@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from pathlib import Path
 
 
 def format_value(x) -> str:
@@ -41,8 +40,3 @@ def read_csv(path) -> tuple[list[str], list[list[float]]]:
         header = next(reader)
         rows = [[float(v) for v in row] for row in reader]
     return header, rows
-
-
-def csv_row_count(path) -> int:
-    with open(Path(path), newline="") as fh:
-        return sum(1 for _ in fh) - 1

@@ -5,10 +5,15 @@ lattice.  One time step applies, right to left,
 
     V_j = Pi^-1 [W_1(th12) W_2(th22)] Pi [W_2(th21) W_1(th11)] Q(eps*(m - T/4))
 
-where each W_k is a pair of spin-dependent double jumps dressed by local
-coin rotations, and T is the time-difference scalar built from the four
-cosine fields (see :func:`t_epsilon`).  All operations are pure: they read
-only the input field and return a fresh one.
+where W_k(th) = R^-1(th) U(th) S_k U(th) S_k R(th) is a pair of
+spin-dependent double jumps S_k dressed by local coin rotations, and T is
+the time-difference scalar built from the four cosine fields (see
+:func:`t_epsilon`).  The chain is written once, as a gate list that
+:func:`step` applies and :func:`plane_wave_transfer_matrix` multiplies with
+each S_k replaced by its plane-wave phase.  Neighbouring scalar gates with
+no shift between them are fused (9 gates per step for space-uniform
+angles); per-site gates are applied one by one.  All operations are pure:
+they read only the input field and return a fresh array.
 """
 
 from __future__ import annotations
@@ -23,8 +28,7 @@ from .errors import ConfigurationError, GeometryError
 
 KL_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
 
-_SQRT2 = math.sqrt(2.0)
-PI_MATRIX = np.array([[-1j, 1.0], [-1.0, 1j]]) / _SQRT2
+PI_MATRIX = np.array([[-1j, 1.0], [-1.0, 1j]]) / math.sqrt(2.0)
 PI_INV_MATRIX = PI_MATRIX.conj().T
 
 #: |det C| below this is treated as degenerate geometry.
@@ -35,42 +39,30 @@ SINGULAR_DET_TOL = 1e-10
 # coin matrices
 # ---------------------------------------------------------------------------
 
-def u_matrix(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[-c, 1j * s], [-1j * s, c]])
-
-
-def r_matrix(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array([[1j * c, 1j * s], [-s, c]])
-
-
-def q_matrix(m: float) -> np.ndarray:
-    """Mass gate exp(-i m sigma_x).
-
-    Written as a half-angle rotation so that one step with argument
-    eps*(m - T/4) contributes exactly -i*eps*(m - T/4)*sigma_x at first
-    order, which is what the continuum Hamiltonian requires.
-    """
-    c, s = np.cos(m), np.sin(m)
-    return np.array([[c, -1j * s], [-1j * s, c]])
-
-
-def pi_matrix() -> np.ndarray:
-    return PI_MATRIX.copy()
+# Every coin gate is K * [[cos a, sin a], [sin a, cos a]] taken entrywise,
+# with a constant K and an angle a: a = th for U(th), th/2 for R(th) and
+# R^-1(th), and m for the mass gate Q(m) = exp(-i m sigma_x).  Q is a
+# rotation by m so that one step with argument eps*(m - T/4) contributes
+# exactly -i*eps*(m - T/4)*sigma_x at first order, which is what the
+# continuum Hamiltonian requires.
+_Q_K = np.array([[1.0, -1j], [-1j, 1.0]])
+_R_K = np.array([[1j, 1j], [-1.0, 1.0]])
+_U_K = np.array([[-1.0, 1j], [-1j, 1.0]])
+_R_INV_K = np.array([[-1j, -1.0], [-1j, 1.0]])
+_COINS = {"U": (_U_K, 1.0), "R": (_R_K, 0.5), "Q": (_Q_K, 1.0)}
 
 
 def coin_matrix(kind: str, arg: float = 0.0) -> np.ndarray:
     """Return one of the coin-space gates by name: U, R, Q or PI."""
-    kinds = {"U": u_matrix, "R": r_matrix, "Q": q_matrix}
     kind = kind.upper()
     if kind == "PI":
-        return pi_matrix()
-    if kind not in kinds:
+        return PI_MATRIX.copy()
+    if kind not in _COINS:
         raise ConfigurationError(f"unknown coin matrix kind {kind!r}")
     if not np.isfinite(arg):
         raise ConfigurationError(f"coin matrix argument must be finite, got {arg!r}")
-    return kinds[kind](arg)
+    k, scale = _COINS[kind]
+    return _gate(k, np.cos(scale * arg), np.sin(scale * arg))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -116,16 +108,13 @@ class AngleProvider:
         """Angles of all four kinds at time j, as scalars or (L1, L2) arrays."""
         if self.uniform_in_space:
             return {kl: float(self.angle(j, 0, 0, kl)) for kl in KL_PAIRS}
-        l1, l2 = shape
-        p1, p2 = np.meshgrid(np.arange(l1), np.arange(l2), indexing="ij")
+        p1, p2 = np.indices(shape)
         return {kl: np.asarray(self.angle(j, p1, p2, kl), dtype=float)
                 for kl in KL_PAIRS}
 
 
 def constant_angles(t11: float, t12: float, t21: float, t22: float) -> AngleProvider:
-    table = {(1, 1): float(t11), (1, 2): float(t12),
-             (2, 1): float(t21), (2, 2): float(t22)}
-    return AngleProvider(lambda j, p1, p2, kl: table[kl], uniform_in_space=True)
+    return uniform_time_angles(t11, t12, t21, t22)
 
 
 def flat_angles() -> AngleProvider:
@@ -146,14 +135,11 @@ def uniform_time_angles(t11, t12, t21, t22, epsilon: float = 1.0) -> AngleProvid
 def pure_shear_angles(xi: float, g, epsilon: float = 1.0) -> AngleProvider:
     """Shear-only wave: th12 = th21 = pi/2 - xi*G(T), th11 = th22 = 0."""
     gf = g if callable(g) else (lambda T, _g=float(g): _g)
-    half_pi = math.pi / 2
 
-    def fn(j, p1, p2, kl):
-        if kl in ((1, 2), (2, 1)):
-            return half_pi - xi * gf(j * epsilon)
-        return 0.0
+    def shear(T):
+        return math.pi / 2 - xi * gf(T)
 
-    return AngleProvider(fn, uniform_in_space=True)
+    return uniform_time_angles(0.0, shear, shear, 0.0, epsilon)
 
 
 def array_angles(arrays: dict) -> AngleProvider:
@@ -204,14 +190,6 @@ class SpinorField:
     def shape(self) -> tuple[int, int]:
         return self.data.shape[1:]
 
-    @property
-    def minus(self) -> np.ndarray:
-        return self.data[0]
-
-    @property
-    def plus(self) -> np.ndarray:
-        return self.data[1]
-
     @classmethod
     def zeros(cls, shape: tuple[int, int]) -> "SpinorField":
         return cls(np.zeros((2, shape[0], shape[1]), dtype=np.complex128))
@@ -227,8 +205,7 @@ class SpinorField:
     def plane_wave(cls, shape, k1: float, k2: float,
                    polarization=(1.0, 0.0)) -> "SpinorField":
         """Field pol * exp(i (k1 p1 + k2 p2)); k need not be admissible."""
-        p1 = np.arange(shape[0])[:, None]
-        p2 = np.arange(shape[1])[None, :]
+        p1, p2 = np.ogrid[:shape[0], :shape[1]]
         phase = np.exp(1j * (k1 * p1 + k2 * p2))
         pol = np.asarray(polarization, dtype=np.complex128)
         return cls(np.stack((pol[0] * phase, pol[1] * phase)))
@@ -250,87 +227,135 @@ class SpinorField:
 
 
 # ---------------------------------------------------------------------------
-# elementary layers
+# gate list
 # ---------------------------------------------------------------------------
 
-def _mat_apply(data: np.ndarray, a, b, c, d) -> np.ndarray:
-    """Pointwise [[a, b], [c, d]] on the coin index; entries may be fields."""
-    return np.stack((a * data[0] + b * data[1], c * data[0] + d * data[1]))
+def _gate(k: np.ndarray, c, s, axis: int = 0) -> tuple:
+    """Gate K * [[c, s], [s, c]], then the shift along `axis` (0: none).
+    Field entries stay apart from K: no complex coefficient field is built."""
+    if np.ndim(c) == 0:
+        return k * np.array([[c, s], [s, c]]), None, axis
+    return k, (c, s), axis
 
 
-def _shift(data: np.ndarray, axis: int) -> np.ndarray:
-    # minus component pulled from p+1, plus from p-1, periodic wrap
-    return np.stack((np.roll(data[0], -1, axis=axis - 1),
-                     np.roll(data[1], 1, axis=axis - 1)))
+def _w_gates(theta, axis: int):
+    """W_k(theta) = R^-1(th) U(th) S_k U(th) S_k R(th), first gate first."""
+    half = np.asarray(theta) / 2.0
+    r = (np.cos(half), np.sin(half))
+    u = _gate(_U_K, np.cos(theta), np.sin(theta))
+    yield _gate(_R_K, *r, axis)
+    yield u[:2] + (axis,)
+    yield u
+    yield _gate(_R_INV_K, *r)
 
 
-def _check_axis(field: SpinorField, axis: int) -> None:
+def _step_gates(th: dict, te, params: WalkParams):
+    """The gates of V_j in the order they act, Q first (module docstring)."""
+    m_arg = params.epsilon * (params.mass - te / 4.0)
+    yield _gate(_Q_K, np.cos(m_arg), np.sin(m_arg))
+    yield from _w_gates(th[(1, 1)], 1)
+    yield from _w_gates(th[(2, 1)], 2)
+    yield PI_MATRIX, None, 0
+    yield from _w_gates(th[(2, 2)], 2)
+    yield from _w_gates(th[(1, 2)], 1)
+    yield PI_INV_MATRIX, None, 0
+
+
+def _fused(gates):
+    """Multiply neighbouring scalar gates with no shift between them into one.
+    Per-site gates stay single: a per-site 2x2 product costs two applies."""
+    prev = next(gates)
+    for gate in gates:
+        if prev[1] is None and gate[1] is None and prev[2] == 0:
+            prev = (gate[0] @ prev[0], None, gate[2])
+        else:
+            yield prev
+            prev = gate
+    yield prev
+
+
+def _rolls(l1: int, l2: int) -> dict:
+    """(destination, source) flat slices of S_k: the minus component is
+    pulled from p+1, the plus one from p-1 by the same pairs swapped.  Along
+    axis 2 the last pair rewrites the column that wraps around."""
+    n = l1 * l2
+    rolls = {0: [[(slice(None), slice(None))]] * 2}
+    for axis, d in ((1, l2), (2, 1)):
+        pull = [(slice(0, n - d), slice(d, n)), (slice(n - d, n), slice(0, d))]
+        if axis == 2:
+            pull.append((slice(l2 - 1, n, l2), slice(0, n, l2)))
+        rolls[axis] = [pull, [(at, dst) for dst, at in pull]]
+    return rolls
+
+
+def _apply(data: np.ndarray, gates) -> np.ndarray:
+    """Apply the gates in order to a (2, L1, L2) array, which is only read,
+    through two ping-pong buffers and a scratch array allocated per call."""
+    shape = data.shape
+    rolls = _rolls(*shape[1:])
+    bufs = (np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
+    scratch = np.empty(shape[1] * shape[2], dtype=complex)
+    src = data.reshape(2, -1)
+    for n, (k, fields, axis) in enumerate(gates):
+        out = bufs[n % 2].reshape(2, -1)
+        if fields is not None:
+            fields = [np.broadcast_to(f, shape[1:]).reshape(-1) for f in fields]
+        for row, pairs in enumerate(rolls[axis]):
+            # the second component is not written yet while the first is
+            tmp = out[1] if row == 0 else scratch
+            for dst, at in pairs:
+                o, t = out[row, dst], tmp[dst]
+                np.multiply(src[0, at], k[row, 0], out=o)
+                np.multiply(src[1, at], k[row, 1], out=t)
+                if fields is not None:
+                    o *= fields[row][at]
+                    t *= fields[1 - row][at]
+                o += t
+        src = out
+    return src.reshape(shape)
+
+
+def _check_axis(axis: int) -> None:
     if axis not in (1, 2):
         raise ConfigurationError(f"axis must be 1 or 2, got {axis!r}")
-    if field.shape[axis - 1] % 2:
-        raise ConfigurationError(
-            f"lattice dimension along axis {axis} must be even")
 
 
 def shift_apply(field: SpinorField, axis: int) -> SpinorField:
     """Spin-dependent translation S_k along lattice axis 1 or 2."""
-    _check_axis(field, axis)
-    return SpinorField(_shift(field.data, axis))
-
-
-def _w_block(data: np.ndarray, axis: int, theta) -> np.ndarray:
-    """R^-1(th) U(th) S_k U(th) S_k R(th), with matrices acting pointwise."""
-    c2, s2 = np.cos(np.asarray(theta) / 2.0), np.sin(np.asarray(theta) / 2.0)
-    c, s = np.cos(theta), np.sin(theta)
-    data = _mat_apply(data, 1j * c2, 1j * s2, -s2, c2)          # R
-    data = _shift(data, axis)                                    # S_k
-    data = _mat_apply(data, -c, 1j * s, -1j * s, c)              # U
-    data = _shift(data, axis)                                    # S_k
-    data = _mat_apply(data, -c, 1j * s, -1j * s, c)              # U
-    return _mat_apply(data, -1j * c2, -s2, -1j * s2, c2)         # R^-1
+    _check_axis(axis)
+    return SpinorField(_apply(field.data, [(np.eye(2), None, axis)]))
 
 
 def w_block_apply(field: SpinorField, axis: int, theta) -> SpinorField:
     """One double-jump block W_k(theta); theta is a scalar or (L1, L2) field."""
-    _check_axis(field, axis)
-    return SpinorField(_w_block(field.data, axis, theta))
+    _check_axis(axis)
+    return SpinorField(_apply(field.data, _fused(_w_gates(theta, axis))))
 
 
 # ---------------------------------------------------------------------------
 # mass-like time-difference scalar
 # ---------------------------------------------------------------------------
 
-def _cos_entries(provider: AngleProvider, j: int, p1, p2):
-    return tuple(np.cos(provider.angle(j, p1, p2, kl)) for kl in KL_PAIRS)
-
-
-def _inverse_entries(c11, c12, c21, c22, j, p1, p2):
+def _cos_and_inverse(provider: AngleProvider, j: int, p1, p2):
+    """Entries of the cosine matrix C at time j and of its inverse."""
+    c11, c12, c21, c22 = (np.cos(provider.angle(j, p1, p2, kl)) for kl in KL_PAIRS)
     det = c11 * c22 - c12 * c21
     bad = np.abs(det) < SINGULAR_DET_TOL
     if np.any(bad):
-        if np.ndim(det) == 0:
-            site = (int(p1), int(p2))
-        else:
-            idx = tuple(np.argwhere(bad)[0])
-            site = (int(np.asarray(p1)[idx]), int(np.asarray(p2)[idx]))
+        idx = np.unravel_index(np.argmax(bad), np.shape(bad))
+        site = (int(np.asarray(p1)[idx]), int(np.asarray(p2)[idx]))
         raise GeometryError(
             f"cosine matrix singular (|det| < {SINGULAR_DET_TOL:g}) "
             f"at time j={j}, site {site}")
-    return c22 / det, -c12 / det, -c21 / det, c11 / det
+    return (c11, c12, c21, c22), (c22 / det, -c12 / det, -c21 / det, c11 / det)
 
 
 def _t_epsilon_values(provider: AngleProvider, j: int, p1, p2,
                       params: WalkParams):
     """T at (j, p1, p2); p1/p2 may be integer arrays."""
-    eps = params.epsilon
-    c11, c12, c21, c22 = _cos_entries(provider, j, p1, p2)
-    n11, n12, n21, n22 = _cos_entries(provider, j + 1, p1, p2)
-    i11, i12, i21, i22 = _inverse_entries(c11, c12, c21, c22, j, p1, p2)
-    m11, m12, m21, m22 = _inverse_entries(n11, n12, n21, n22, j + 1, p1, p2)
-    d11 = (m11 - i11) / eps
-    d12 = (m12 - i12) / eps
-    d21 = (m21 - i21) / eps
-    d22 = (m22 - i22) / eps
+    (c11, c12, c21, c22), inv = _cos_and_inverse(provider, j, p1, p2)
+    _, inv_next = _cos_and_inverse(provider, j + 1, p1, p2)
+    d11, d12, d21, d22 = ((b - a) / params.epsilon for a, b in zip(inv, inv_next))
     # sum_k [ C^{k2} D0 (C^-1)^{1k} - C^{k1} D0 (C^-1)^{2k} ]
     return c12 * d11 - c11 * d21 + c22 * d12 - c21 * d22
 
@@ -350,9 +375,7 @@ def t_epsilon_field(provider: AngleProvider, j: int, shape: tuple[int, int],
     """T over the whole lattice; scalar for space-uniform providers."""
     if provider.uniform_in_space:
         return t_epsilon(provider, j, 0, 0, params)
-    l1, l2 = shape
-    p1, p2 = np.meshgrid(np.arange(l1), np.arange(l2), indexing="ij")
-    return _t_epsilon_values(provider, j, p1, p2, params)
+    return _t_epsilon_values(provider, j, *np.indices(shape), params)
 
 
 _ETA = (1.0, -1.0, -1.0)
@@ -368,6 +391,13 @@ def _triad_pair(provider, j, p1, p2):
     return triad, geometry.dual_triad(triad)
 
 
+def _site_rates(provider, j, p1, p2, eps) -> list:
+    """Centered differences of the dual triad along lattice axes 1 and 2."""
+    return [(_triad_pair(provider, j, p1 + dp1, p2 + dp2)[1].d
+             - _triad_pair(provider, j, p1 - dp1, p2 - dp2)[1].d) / eps
+            for dp1, dp2 in ((1, 0), (0, 1))]
+
+
 def t_epsilon_compact(provider: AngleProvider, j: int, p1: int, p2: int,
                       params: WalkParams) -> float:
     """Same scalar via the frame-field contraction -levi^{abc} eta_cd e^mu_(a) D_b e^(d)_mu.
@@ -380,16 +410,10 @@ def t_epsilon_compact(provider: AngleProvider, j: int, p1: int, p2: int,
     eps = params.epsilon
     p1, p2 = int(p1), int(p2)
     triad, dual = _triad_pair(provider, j, p1, p2)
-    _, dual_next = _triad_pair(provider, j + 1, p1, p2)
-    d_dual = [(dual_next.d - dual.d) / eps]
-    for dp1, dp2 in ((1, 0), (0, 1)):
-        _, fwd = _triad_pair(provider, j, p1 + dp1, p2 + dp2)
-        _, bwd = _triad_pair(provider, j, p1 - dp1, p2 - dp2)
-        d_dual.append((fwd.d - bwd.d) / eps)
-    total = 0.0
-    for (a, b, c), sign in _LEVI.items():
-        total -= sign * _ETA[c] * float(triad.e[:, a] @ d_dual[b][c, :])
-    return total
+    rates = [(_triad_pair(provider, j + 1, p1, p2)[1].d - dual.d) / eps]
+    rates += _site_rates(provider, j, p1, p2, eps)
+    return -sum(sign * _ETA[c] * float(triad.e[:, a] @ rates[b][c, :])
+                for (a, b, c), sign in _LEVI.items())
 
 
 def spatial_nullity_terms(provider: AngleProvider, j: int, p1: int, p2: int,
@@ -399,21 +423,12 @@ def spatial_nullity_terms(provider: AngleProvider, j: int, p1: int, p2: int,
     Both are identically zero for the embedded frames; exposed so tests can
     assert the nullity on arbitrary angle fields.
     """
-    eps = params.epsilon
     p1, p2 = int(p1), int(p2)
     triad, _ = _triad_pair(provider, j, p1, p2)
-    out = []
-    for i, (dp1, dp2) in zip((1, 2), ((1, 0), (0, 1))):
-        _, fwd = _triad_pair(provider, j, p1 + dp1, p2 + dp2)
-        _, bwd = _triad_pair(provider, j, p1 - dp1, p2 - dp2)
-        d_dual = (fwd.d - bwd.d) / eps
-        k_i = 0.0
-        for (a, b, c), sign in _LEVI.items():
-            if a != i:
-                continue
-            k_i += sign * _ETA[c] * float(triad.e[:, b] @ d_dual[c, :])
-        out.append(k_i)
-    return out[0], out[1]
+    rates = _site_rates(provider, j, p1, p2, params.epsilon)
+    return tuple(sum(sign * _ETA[c] * float(triad.e[:, b] @ rates[i - 1][c, :])
+                     for (a, b, c), sign in _LEVI.items() if a == i)
+                 for i in (1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -430,16 +445,7 @@ def step(field: SpinorField, j: int, provider: AngleProvider,
     """
     th = provider.fields(j, field.shape)
     te = t_epsilon_field(provider, j, field.shape, params)
-    m_arg = params.epsilon * (params.mass - te / 4.0)
-    cm, sm = np.cos(m_arg), np.sin(m_arg)
-    data = _mat_apply(field.data, cm, -1j * sm, -1j * sm, cm)      # Q, first
-    data = _w_block(data, 1, th[(1, 1)])
-    data = _w_block(data, 2, th[(2, 1)])
-    data = _mat_apply(data, *PI_MATRIX.ravel())                    # Pi
-    data = _w_block(data, 2, th[(2, 2)])
-    data = _w_block(data, 1, th[(1, 2)])
-    data = _mat_apply(data, *PI_INV_MATRIX.ravel())                # Pi^-1
-    return SpinorField(data)
+    return SpinorField(_apply(field.data, _fused(_step_gates(th, te, params))))
 
 
 def evolve(field: SpinorField, j0: int, steps: int, provider: AngleProvider,
@@ -459,25 +465,18 @@ def plane_wave_transfer_matrix(provider: AngleProvider, j: int,
     """Exact 2x2 action of one step on the plane wave exp(i(k1 p1 + k2 p2)).
 
     Only defined for space-uniform angles, where every Fourier mode evolves
-    independently.  The double jumps make this a function of q = 2k.
+    independently.  The double jumps make this a function of q = 2k.  It is
+    the product of the step's gate list with each shift S_k replaced by
+    diag(e^{ik}, e^{-ik}).
     """
     if not provider.uniform_in_space:
         raise ConfigurationError(
             "plane-wave transfer matrix requires space-uniform angles")
     th = provider.fields(j, (2, 2))
     te = t_epsilon(provider, j, 0, 0, params)
-
-    def s_mat(k):
-        return np.diag([np.exp(1j * k), np.exp(-1j * k)])
-
-    def w_mat(theta, s):
-        r, u = r_matrix(theta), u_matrix(theta)
-        return r.conj().T @ u @ s @ u @ s @ r
-
-    s1, s2 = s_mat(k1), s_mat(k2)
-    q = q_matrix(params.epsilon * (params.mass - te / 4.0))
-    return (PI_INV_MATRIX
-            @ w_mat(th[(1, 2)], s1) @ w_mat(th[(2, 2)], s2)
-            @ PI_MATRIX
-            @ w_mat(th[(2, 1)], s2) @ w_mat(th[(1, 1)], s1)
-            @ q)
+    phases = {0: 1.0, 1: np.exp([[1j * k1], [-1j * k1]]),
+              2: np.exp([[1j * k2], [-1j * k2]])}
+    tm = np.eye(2)
+    for k, _, axis in _fused(_step_gates(th, te, params)):
+        tm = phases[axis] * (k @ tm)
+    return tm

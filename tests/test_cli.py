@@ -222,3 +222,18 @@ class TestMainExitCodes:
         code = main(["--experiment", "rho-max", "--resolution", "256"])
         assert code == 0
         assert (tmp_path / "envout" / "rho_maxima.csv").exists()
+
+    def test_norm_drift_beyond_tolerance_is_3_and_writes_nothing(
+            self, tmp_path, monkeypatch, capsys):
+        import gwalk.walk as walk_mod
+        exact_step = walk_mod.step
+
+        def leaky_step(field, j, provider, params):
+            out = exact_step(field, j, provider, params)
+            return walk_mod.SpinorField(out.data * (1.0 + 1e-6))
+
+        monkeypatch.setattr(walk_mod, "step", leaky_step)
+        code = main(["--experiment", "evolve", "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "norm drift" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []

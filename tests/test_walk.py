@@ -1,5 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gwalk import walk
 from gwalk.errors import ConfigurationError, GeometryError
@@ -8,6 +13,7 @@ from gwalk.walk import (AngleProvider, SpinorField, WalkParams, array_angles,
                         plane_wave_transfer_matrix, pure_shear_angles,
                         shift_apply, spatial_nullity_terms, step, t_epsilon,
                         t_epsilon_compact, uniform_time_angles, w_block_apply)
+from gwalk.walk import t_epsilon_field
 
 RNG_ANGLE_RANGES = ((0.1, 0.7), (0.9, 1.4))  # keeps the cosine matrix well conditioned
 
@@ -331,3 +337,134 @@ class TestAngleProviders:
         arr_provider = random_history_provider(rng, times=2, shape=(4, 6))
         th = arr_provider.fields(0, (4, 6))
         assert th[(1, 1)].shape == (4, 6)
+
+
+# ---------------------------------------------------------------------------
+# the fused gate list against an unfused oracle
+# ---------------------------------------------------------------------------
+
+def _sitewise(data, gate, angle):
+    """Apply gate(angle) at every site; angle is a scalar or an (L1, L2) field."""
+    angles = np.broadcast_to(angle, data.shape[1:])
+    mats = np.array([[gate(a) for a in row] for row in angles])
+    return np.einsum("xyab,bxy->axy", mats, data)
+
+
+def _oracle_shift(data, axis):
+    return np.stack((np.roll(data[0], -1, axis=axis - 1),
+                     np.roll(data[1], 1, axis=axis - 1)))
+
+
+def _oracle_w(data, axis, theta):
+    """W_k = R^-1 U S_k U S_k R, one gate and one roll at a time."""
+    data = _sitewise(data, lambda a: coin_matrix("R", a), theta)
+    data = _oracle_shift(data, axis)
+    data = _sitewise(data, lambda a: coin_matrix("U", a), theta)
+    data = _oracle_shift(data, axis)
+    data = _sitewise(data, lambda a: coin_matrix("U", a), theta)
+    return _sitewise(data, lambda a: coin_matrix("R", a).conj().T, theta)
+
+
+def oracle_step(field, j, provider, params):
+    """V_j = Pi^-1 W_1(th12) W_2(th22) Pi W_2(th21) W_1(th11) Q, unfused."""
+    th = provider.fields(j, field.shape)
+    te = t_epsilon_field(provider, j, field.shape, params)
+    m_arg = params.epsilon * (params.mass - te / 4.0)
+    data = _sitewise(field.data, lambda a: coin_matrix("Q", a), m_arg)
+    data = _oracle_w(data, 1, th[(1, 1)])
+    data = _oracle_w(data, 2, th[(2, 1)])
+    data = _sitewise(data, lambda a: coin_matrix("PI"), 0.0)
+    data = _oracle_w(data, 2, th[(2, 2)])
+    data = _oracle_w(data, 1, th[(1, 2)])
+    return _sitewise(data, lambda a: coin_matrix("PI").conj().T, 0.0)
+
+
+@st.composite
+def walk_cases(draw, uniform=None):
+    """Angle history over times 0 and 1, walk parameters, lattice shape, rng."""
+    shape = (draw(st.sampled_from((2, 4, 6, 8))), draw(st.sampled_from((2, 4, 6, 8))))
+    if uniform is None:
+        uniform = draw(st.booleans())
+    sites = (1, 1) if uniform else shape
+
+    def history(lo, hi):
+        return draw(hnp.arrays(float, (2, *sites), elements=st.floats(lo, hi)))
+
+    (a, b), (c, d) = RNG_ANGLE_RANGES
+    provider = array_angles({(1, 1): history(a, b), (2, 2): history(a, b),
+                             (1, 2): history(c, d), (2, 1): history(c, d)})
+    params = WalkParams(epsilon=draw(st.floats(0.05, 1.5)),
+                        mass=draw(st.floats(0.0, 2.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return provider, params, shape, rng
+
+
+class TestGateListProperties:
+    @given(walk_cases())
+    def test_step_matches_unfused_oracle(self, case):
+        provider, params, shape, rng = case
+        f = SpinorField.random(shape, rng)
+        expected = oracle_step(f, 0, provider, params)
+        assert np.abs(step(f, 0, provider, params).data - expected).max() < 1e-13
+
+    @given(walk_cases(uniform=True), st.integers(0, 7), st.integers(0, 7))
+    def test_transfer_matrix_matches_step_on_plane_waves(self, case, n1, n2):
+        provider, params, shape, rng = case
+        k1, k2 = 2 * np.pi * n1 / shape[0], 2 * np.pi * n2 / shape[1]
+        pol = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        pol /= np.linalg.norm(pol)
+        f = SpinorField.plane_wave(shape, k1, k2, pol)
+        tm = plane_wave_transfer_matrix(provider, 0, k1, k2, params)
+        expected = SpinorField.plane_wave(shape, k1, k2, tm @ pol)
+        assert np.abs(step(f, 0, provider, params).data - expected.data).max() < 1e-12
+
+
+class TestPurity:
+    def test_step_never_writes_its_input_or_reuses_an_output(self):
+        rng = np.random.default_rng(21)
+        params = WalkParams(epsilon=0.7, mass=0.2)
+        for provider in (random_uniform_provider(rng),
+                         random_history_provider(rng, times=3, shape=(6, 8))):
+            a = SpinorField.random((6, 8), rng)
+            a0 = a.data.copy()
+            b = step(a, 0, provider, params)
+            b0 = b.data.copy()
+            c = step(b, 1, provider, params)
+            np.testing.assert_array_equal(a.data, a0)
+            np.testing.assert_array_equal(b.data, b0)
+            for x, y in ((a, b), (b, c), (a, c)):
+                assert not np.shares_memory(x.data, y.data)
+
+    def test_blocks_and_shifts_return_fresh_arrays(self):
+        rng = np.random.default_rng(22)
+        f = SpinorField.random((4, 6), rng)
+        f0 = f.data.copy()
+        outs = [shift_apply(f, 1), shift_apply(f, 2),
+                w_block_apply(f, 1, 0.4), w_block_apply(f, 2, rng.uniform(0, 1, (4, 6)))]
+        np.testing.assert_array_equal(f.data, f0)
+        for n, out in enumerate(outs):
+            assert not np.shares_memory(out.data, f.data)
+            assert not any(np.shares_memory(out.data, o.data) for o in outs[n + 1:])
+
+    def test_zero_step_evolve_returns_a_copy(self):
+        f = SpinorField.random((4, 4), np.random.default_rng(23))
+        out = evolve(f, 0, 0, flat_angles(), WalkParams())
+        assert not np.shares_memory(out.data, f.data)
+
+
+class TestStepMemory:
+    def test_per_site_step_peak_allocation(self):
+        # bound: the peak of the step that applied every gate through fresh
+        # np.stack arrays, 8.25 field sizes on a 256^2 per-site provider
+        rng = np.random.default_rng(24)
+        provider = random_history_provider(rng, times=2, shape=(256, 256))
+        f = SpinorField.random((256, 256), rng)
+        params = WalkParams(epsilon=0.5, mass=0.3)
+        step(f, 0, provider, params)
+        tracemalloc.start()
+        try:
+            step(f, 0, provider, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.25 * f.data.nbytes
