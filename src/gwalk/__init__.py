@@ -5,12 +5,12 @@ from .errors import (ConfigurationError, ConsistencyError, GeometryError,
                      SignConditionError, WalkError)
 from .geometry import (DualTriad, GwParams, Metric3, Triad, dual_triad,
                        gw_angle_provider, gw_angles, gw_metric_reference,
-                       metric_from_dual_triad, triad_from_angles)
+                       metric_from_dual_triad, t_epsilon_compact,
+                       triad_from_angles)
 from .walk import (AngleProvider, SpinorField, WalkParams, array_angles,
                    coin_matrix, constant_angles, evolve, flat_angles,
                    plane_wave_transfer_matrix, pure_shear_angles, shift_apply,
-                   step, t_epsilon, t_epsilon_compact, uniform_time_angles,
-                   w_block_apply)
+                   step, t_epsilon, uniform_time_angles, w_block_apply)
 
 __all__ = [
     "AngleProvider", "ConfigurationError", "ConsistencyError", "DualTriad",

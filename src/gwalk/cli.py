@@ -2,8 +2,7 @@
 
 Every run writes its tables plus a ``manifest.json`` recording the resolved
 configuration, each output file's SHA-256 hash and any fitted metrics.
-Identical configs give byte-identical artifacts; the thread count only
-splits independent grid chunks, so values do not depend on it.
+Identical configs give byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -13,14 +12,13 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import continuum, geometry, interference, spectral, walk
-from .csvio import sha256_file, write_csv
+from .csvio import grid_rows, sha256_file, write_csv
 from .errors import ConfigurationError, ConsistencyError, WalkError
 
 EXPERIMENTS = ("evolve", "spectrum", "rho-max", "unaffected-modes",
@@ -51,7 +49,6 @@ class RunConfig:
     gw: geometry.GwParams = field(default_factory=lambda: geometry.GwParams(xi=1e-4, g=1.0))
     resolution: int = 512
     out_dir: Path = Path("gwalk_out")
-    threads: int = 1
     q: float | None = None
     steps: int = 16
     epsilons: tuple[float, ...] = _DEFAULT_EPSILONS
@@ -148,6 +145,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
         k_prime=float(gw_spec.get("K_prime", 0.0)))
 
     resolution = _as_positive_int(raw.get("resolution", 512), "resolution", 2)
+    # accepted and recorded so existing configs keep running; it has no effect
     threads = _as_positive_int(raw.get("threads", 1), "threads", 1)
     steps = raw.get("steps", 16)
     if not isinstance(steps, int) or isinstance(steps, bool) or steps < 0:
@@ -177,7 +175,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
 
     config = RunConfig(experiment=experiment, lattice=lattice, params=params,
                        gw=gw, resolution=resolution, out_dir=Path(out_dir),
-                       threads=threads, q=q, steps=steps, epsilons=epsilons,
+                       q=q, steps=steps, epsilons=epsilons,
                        q_list=q_list, figures=figures)
 
     # angle-generating experiments must satisfy the sign conditions over the
@@ -205,28 +203,13 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
 # experiment implementations
 # ---------------------------------------------------------------------------
 
-def _parallel_rows(fn, items, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _run_spectrum(cfg: RunConfig, out: Path, artifacts: list, metrics: dict):
-    n = cfg.resolution
-    ax = -2 * np.pi + 4 * np.pi * np.arange(n) / n
-
-    def one_row(x):
-        return spectral.rho(np.full(n, x), ax)
-
-    values = np.vstack(_parallel_rows(one_row, list(ax), cfg.threads))
-    grid = spectral.SpectrumGrid(ax, ax, values, "rho")
+    grid = spectral.SpectrumGrid.sample(spectral.rho, cfg.resolution, "rho")
     path = out / "rho.csv"
-    grid.to_csv(path)
-    artifacts.append((path, n * n))
-    imax = np.unravel_index(int(np.argmax(values)), values.shape)
-    metrics["rho_grid_max"] = float(values[imax])
-    metrics["rho_grid_argmax"] = [float(ax[imax[0]]), float(ax[imax[1]])]
+    artifacts.append((path, grid.to_csv(path)))
+    imax = np.unravel_index(int(np.argmax(grid.values)), grid.values.shape)
+    metrics["rho_grid_max"] = float(grid.values[imax])
+    metrics["rho_grid_argmax"] = [float(grid.qx[imax[0]]), float(grid.qy[imax[1]])]
 
 
 def _run_rho_max(cfg: RunConfig, out: Path, artifacts: list, metrics: dict):
@@ -246,34 +229,21 @@ def _run_unaffected(cfg: RunConfig, out: Path, artifacts: list, metrics: dict):
 
 
 def _run_interference(cfg: RunConfig, out: Path, artifacts: list, metrics: dict):
-    length = cfg.lattice[0]
     q_requested = cfg.q if cfg.q is not None else interference.delta_max_peak()[0]
-    q_used = interference.admissible_q(q_requested, length)
+    q_used = interference.admissible_q(q_requested, cfg.lattice[0])
     if q_used <= 0:
         raise ConfigurationError(
             f"q = {q_requested:g} snaps to a non-positive admissible value")
-    g0 = cfg.gw.g_at(0.0)
-    if cfg.params.xi * g0 == 0.0:
-        raise ConfigurationError(
-            "interference needs a nonzero xi and shear amplitude G to "
-            "normalize the density response")
     setup = interference.InterferenceSetup(q=q_used, shape=cfg.lattice,
-                                           xi=cfg.params.xi, g0=g0)
-    field0 = interference.initial_superposition(setup)
-    n0 = field0.density()
-    provider = walk.pure_shear_angles(setup.xi, setup.g0)
-    field1 = walk.step(field0, 0, provider, walk.WalkParams(xi=setup.xi))
-    delta_site = (field1.density() - n0) / (setup.xi * setup.g0 * n0)
-
+                                           xi=cfg.params.xi, g0=cfg.gw.g_at(0.0))
+    n0, delta_site, profile = interference.step_response(setup)
     grid_path = out / "interference_grid.csv"
-    rows = [(p1, p2, n0[p1, p2], delta_site[p1, p2])
-            for p1 in range(length) for p2 in range(length)]
-    artifacts.append((grid_path, write_csv(grid_path,
-                                           ["pX", "pY", "N0", "delta"], rows)))
+    artifacts.append((grid_path, write_csv(grid_path, ["pX", "pY", "N0", "delta"],
+                                           grid_rows(n0, delta_site))))
 
-    profile = interference.delta_simulated(setup)
     prof_path = out / "interference_profile.csv"
-    rows = [(setup.q, int(u), d) for u, d in zip(profile.u, profile.delta)]
+    rows = [(setup.q, u, d)
+            for u, d in zip(profile.u.tolist(), profile.delta.tolist())]
     artifacts.append((prof_path, write_csv(prof_path, ["q", "u", "delta"], rows)))
     metrics["q_requested"] = float(q_requested)
     metrics["q_used"] = float(q_used)
@@ -281,13 +251,9 @@ def _run_interference(cfg: RunConfig, out: Path, artifacts: list, metrics: dict)
 
 
 def _run_deltam_sweep(cfg: RunConfig, out: Path, artifacts: list, metrics: dict):
-    qs = np.linspace(0.0, math.pi, cfg.resolution, endpoint=False)
-
-    def one(qv):
-        qv = float(qv)
-        return (qv, interference.delta_max(qv), interference.delta_max_integer(qv))
-
-    rows = _parallel_rows(one, list(qs), cfg.threads)
+    qs = np.linspace(0.0, math.pi, cfg.resolution, endpoint=False).tolist()
+    rows = [(q, interference.delta_max(q), interference.delta_max_integer(q))
+            for q in qs]
     path = out / "deltam_sweep.csv"
     artifacts.append((path, write_csv(
         path, ["q", "deltaM_continuous", "deltaM_integer"], rows)))
@@ -347,11 +313,9 @@ def _run_evolve(cfg: RunConfig, out: Path, artifacts: list, metrics: dict):
             f"norm drift {drift:.3e} after {cfg.steps} steps exceeds {NORM_DRIFT_TOL:g}")
     norm_path = out / "evolve_norm.csv"
     artifacts.append((norm_path, write_csv(norm_path, ["step", "norm"], norms)))
-    dens = f.density()
     dens_path = out / "evolve_density.csv"
-    rows = [(p1, p2, dens[p1, p2])
-            for p1 in range(cfg.lattice[0]) for p2 in range(cfg.lattice[1])]
-    artifacts.append((dens_path, write_csv(dens_path, ["pX", "pY", "density"], rows)))
+    artifacts.append((dens_path, write_csv(dens_path, ["pX", "pY", "density"],
+                                           grid_rows(f.density()))))
     metrics["final_norm"] = norms[-1][1]
     metrics["norm_drift"] = drift
 
@@ -381,9 +345,14 @@ _RUNNERS = {
 
 
 def run(config: RunConfig) -> int:
-    """Execute the configured experiment; removes partial outputs on failure."""
+    """Execute the configured experiment; removes partial outputs on failure.
+
+    An earlier run's manifest is deleted first, so a failed run never leaves
+    one that disagrees with the files beside it.
+    """
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)
     artifacts: list[tuple[Path, int]] = []
     metrics: dict = {}
     try:
@@ -416,7 +385,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--experiment", metavar="NAME", choices=EXPERIMENTS,
                         help="which experiment to run")
     parser.add_argument("--out", metavar="DIR", help="output directory")
-    parser.add_argument("--threads", metavar="N", type=int, help="worker threads")
     parser.add_argument("--resolution", metavar="N", type=int, help="grid resolution")
     parser.add_argument("--xi", metavar="X", type=float, help="perturbation amplitude")
     parser.add_argument("--q", metavar="Q", type=float, help="mode wavenumber")
@@ -430,8 +398,6 @@ def main(argv=None) -> int:
         overrides["experiment"] = args.experiment
     if args.out:
         overrides["out_dir"] = args.out
-    if args.threads is not None:
-        overrides["threads"] = args.threads
     if args.resolution is not None:
         overrides["resolution"] = args.resolution
     if args.q is not None:

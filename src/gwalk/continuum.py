@@ -17,9 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import DualTriad
-from .walk import (_ETA, _LEVI, AngleProvider, SpinorField, WalkParams, step,
-                   t_epsilon_field)
+from .geometry import _ETA, _LEVI, DualTriad
+from .walk import AngleProvider, SpinorField, WalkParams, step, t_epsilon_field
 
 GAMMA0 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 GAMMA1 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)

@@ -2,27 +2,42 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
-
-
-def format_value(x) -> str:
-    """17-significant-digit decimal rendering; integers stay integers."""
-    if isinstance(x, (int,)) and not isinstance(x, bool):
-        return str(x)
-    return format(float(x), ".17g")
+import os
 
 
 def write_csv(path, header, rows) -> int:
-    """Write rows with a header; returns the number of data rows."""
+    """Write rows under a header; returns the number of data rows.
+
+    Every value is written as ``%.17g``, so reals keep 17 significant
+    digits and integers stay integers.  The rows go to a sibling temporary
+    file that replaces ``path`` only once complete, so a failure leaves
+    neither a truncated file nor the temporary one.
+    """
+    template = ",".join(["%.17g"] * len(header)) + "\n"
+    tmp = f"{os.fspath(path)}.tmp"
     count = 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_value(v) for v in row])
-            count += 1
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(template % tuple(row))
+                count += 1
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
     return count
+
+
+def grid_rows(*fields):
+    """Rows (p1, p2, f[p1, p2], ...) of equally shaped 2D arrays, p2 fastest."""
+    for p1, row in enumerate(zip(*fields)):
+        for p2, values in enumerate(zip(*(r.tolist() for r in row))):
+            yield (p1, p2, *values)
 
 
 def sha256_file(path) -> str:

@@ -4,7 +4,8 @@ The four angles define a 3x3 triad whose spatial block is the cosine
 matrix [cos th^{kl}]; its inverse block is the dual triad, and the metric
 is the eta-contraction of the dual with itself.  For a weak plane wave
 with polarizations F (compression) and G (shear) the angles are produced
-directly from the waveform.
+directly from the waveform.  The frame-field contraction of the
+time-difference scalar lives here too, as an oracle for the walk's own.
 """
 
 from __future__ import annotations
@@ -15,9 +16,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import GeometryError, SignConditionError
-from .walk import SINGULAR_DET_TOL, AngleProvider, uniform_time_angles
+from .walk import (KL_PAIRS, SINGULAR_DET_TOL, AngleProvider, WalkParams,
+                   uniform_time_angles)
 
 ETA = np.diag([1.0, -1.0, -1.0])
+_ETA = (1.0, -1.0, -1.0)
+_LEVI = {(0, 1, 2): 1.0, (1, 2, 0): 1.0, (2, 0, 1): 1.0,
+         (0, 2, 1): -1.0, (2, 1, 0): -1.0, (1, 0, 2): -1.0}
 
 _BORDER_TOL = 1e-12
 
@@ -168,3 +173,54 @@ def gw_angle_provider(gw: GwParams, epsilon: float = 1.0) -> AngleProvider:
     def ang(which):
         return lambda t: gw_angles(gw, t)[which]
     return uniform_time_angles(ang(0), ang(1), ang(2), ang(3), epsilon=epsilon)
+
+
+# ---------------------------------------------------------------------------
+# frame-field form of the time-difference scalar
+# ---------------------------------------------------------------------------
+
+def _triad_pair(provider, j, p1, p2):
+    """Embedded 3x3 triad and dual triad at one site and time."""
+    angles = [float(provider.angle(j, p1, p2, kl)) for kl in KL_PAIRS]
+    triad = triad_from_angles(*angles)
+    return triad, dual_triad(triad)
+
+
+def _site_rates(provider, j, p1, p2, eps) -> list:
+    """Centered differences of the dual triad along lattice axes 1 and 2."""
+    return [(_triad_pair(provider, j, p1 + dp1, p2 + dp2)[1].d
+             - _triad_pair(provider, j, p1 - dp1, p2 - dp2)[1].d) / eps
+            for dp1, dp2 in ((1, 0), (0, 1))]
+
+
+def t_epsilon_compact(provider: AngleProvider, j: int, p1: int, p2: int,
+                      params: WalkParams) -> float:
+    """Same scalar via the frame-field contraction -levi^{abc} eta_cd e^mu_(a) D_b e^(d)_mu.
+
+    The derivative triple uses the forward time difference for b = 0 and
+    centered site differences for b = 1, 2; the spatial terms vanish
+    identically because of the block structure of the frames, so the value
+    agrees with :func:`gwalk.walk.t_epsilon` to roundoff.
+    """
+    eps = params.epsilon
+    p1, p2 = int(p1), int(p2)
+    triad, dual = _triad_pair(provider, j, p1, p2)
+    rates = [(_triad_pair(provider, j + 1, p1, p2)[1].d - dual.d) / eps]
+    rates += _site_rates(provider, j, p1, p2, eps)
+    return -sum(sign * _ETA[c] * float(triad.e[:, a] @ rates[b][c, :])
+                for (a, b, c), sign in _LEVI.items())
+
+
+def spatial_nullity_terms(provider: AngleProvider, j: int, p1: int, p2: int,
+                          params: WalkParams) -> tuple[float, float]:
+    """The two site-difference contractions K^i = levi^{ibc} e^mu_(b) eta_cd D_i e^(d)_mu.
+
+    Both are identically zero for the embedded frames; exposed so tests can
+    assert the nullity on arbitrary angle fields.
+    """
+    p1, p2 = int(p1), int(p2)
+    triad, _ = _triad_pair(provider, j, p1, p2)
+    rates = _site_rates(provider, j, p1, p2, params.epsilon)
+    return tuple(sum(sign * _ETA[c] * float(triad.e[:, b] @ rates[i - 1][c, :])
+                     for (a, b, c), sign in _LEVI.items() if a == i)
+                 for i in (1, 2))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ConsistencyError
 from .walk import SpinorField, WalkParams, pure_shear_angles, step
-from . import spectral
+from . import csvio, spectral
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -95,16 +95,19 @@ class DensityProfile:
         return 4.0 * math.pi / self.q
 
 
-def delta_simulated(setup: InterferenceSetup,
-                    tolerance: float = 1e-10) -> DensityProfile:
-    """One perturbed step, measured as (N1 - N0) / (xi g0 N0) per diagonal.
+def step_response(setup: InterferenceSetup, tolerance: float = 1e-10
+                  ) -> tuple[np.ndarray, np.ndarray, DensityProfile]:
+    """One perturbed step: the initial density N0, the per-site response
+    (N1 - N0) / (xi g0 N0), and that response collapsed onto u = pX - pY.
 
     The per-site response must be constant along each u-diagonal; the check
     tolerance has a roundoff floor of order machine-eps / (xi*g0) because
     the normalization divides out the perturbation.
     """
     if setup.xi * setup.g0 == 0.0:
-        raise ConfigurationError("xi * g0 must be nonzero to normalize the response")
+        raise ConfigurationError(
+            "xi * g0 must be nonzero to normalize the response; set a nonzero "
+            "xi and shear amplitude G")
     field0 = initial_superposition(setup)
     n0 = field0.density()
     provider = pure_shear_angles(setup.xi, setup.g0)
@@ -126,7 +129,13 @@ def delta_simulated(setup: InterferenceSetup,
                 f"response not constant along diagonal u={u}: spread "
                 f"{spread:.3e} exceeds {tol:.3e}")
         values[u] = diag.mean()
-    return DensityProfile(setup.q, np.arange(length), values)
+    return n0, delta, DensityProfile(setup.q, np.arange(length), values)
+
+
+def delta_simulated(setup: InterferenceSetup,
+                    tolerance: float = 1e-10) -> DensityProfile:
+    """The diagonal profile of :func:`step_response`."""
+    return step_response(setup, tolerance)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -152,20 +161,19 @@ def _golden_max(fn, a: float, b: float, tol: float) -> tuple[float, float]:
     return x, fn(x)
 
 
-def delta_max(q: float, samples: int = 4096, tol: float = 1e-10) -> float:
-    """max over real u of |delta(q, u)|, by dense sampling plus refinement."""
-    if q == 0.0:
-        return 0.0
-    if not 0.0 < q < math.pi:
+def delta_max(q: float) -> float:
+    """max over real u of |delta(q, u)|, in closed form (arXiv:1609.00722).
+
+    With s = sin(q)^2 and r = sqrt(1 - s/2) the maximum is
+    2 sqrt(2) s r / (2 - sqrt(2) |cos q| r - s): symmetric about pi/2,
+    and exactly 0 at q = 0.  The tests check it against a dense numeric
+    search over u.
+    """
+    if not 0.0 <= q < math.pi:
         raise ConfigurationError(f"q must lie in [0, pi), got {q!r}")
-    period = 4.0 * math.pi / q
-    us = np.linspace(0.0, period, samples, endpoint=False)
-    vals = np.abs(delta_formula(q, us))
-    i = int(np.argmax(vals))
-    h = period / samples
-    _, best = _golden_max(lambda u: float(np.abs(delta_formula(q, u))),
-                          us[i] - h, us[i] + h, tol)
-    return best
+    s2 = math.sin(q) ** 2
+    root = math.sqrt(1.0 - s2 / 2.0)
+    return 2.0 * _SQRT2 * s2 * root / (2.0 - _SQRT2 * abs(math.cos(q)) * root - s2)
 
 
 def delta_max_integer(q: float) -> float:
@@ -183,32 +191,12 @@ def delta_max_integer(q: float) -> float:
     return float(np.abs(delta_formula(q, np.arange(n))).max())
 
 
-def delta_max_closed(q: float) -> float:
-    """Two-branch closed form of the maximum response.
-
-    The single-branch expression f applies on [pi/2, pi); the other half
-    follows from the reflection symmetry about pi/2.
-    """
-    if not 0.0 <= q < math.pi:
-        raise ConfigurationError(f"q must lie in [0, pi), got {q!r}")
-    return _f_branch(q if q >= math.pi / 2 else math.pi - q)
-
-
-def _f_branch(q: float) -> float:
-    s2 = math.sin(q) ** 2
-    root = math.sqrt(1.0 - s2 / 2.0)
-    return 2.0 * _SQRT2 * s2 * root / (2.0 + _SQRT2 * math.cos(q) * root - s2)
-
-
 def delta_max_peak(resolution: int = 2048) -> tuple[float, float]:
     """Location and value of the absolute maximum of delta_max on (pi/2, pi)."""
-    qs = np.linspace(math.pi / 2, math.pi, resolution, endpoint=False)[1:]
-    vals = np.array([delta_max(float(q)) for q in qs])
-    i = int(np.argmax(vals))
+    qs = np.linspace(math.pi / 2, math.pi, resolution, endpoint=False)[1:].tolist()
+    i = int(np.argmax([delta_max(q) for q in qs]))
     h = qs[1] - qs[0]
-    q_peak, value = _golden_max(lambda q: delta_max(float(q)),
-                                float(qs[i] - h), float(qs[i] + h), 1e-10)
-    return q_peak, value
+    return _golden_max(delta_max, qs[i] - h, qs[i] + h, 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +215,6 @@ def figure_tables(out_dir, figures=("fig1", "fig2", "fig3", "fig4"),
     [0, pi) with both real-u and integer-u columns
     (q, deltaM_continuous, deltaM_integer).
     """
-    from .csvio import write_csv
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
@@ -243,14 +229,11 @@ def figure_tables(out_dir, figures=("fig1", "fig2", "fig3", "fig4"),
 
     if "fig2" in figures:
         p = np.arange(lattice)
-        p1, p2 = np.meshgrid(p, p, indexing="ij")
-        u = p1 - p2
-        n0 = initial_density_formula(q_peak, u)
-        dl = delta_formula(q_peak, u)
-        rows = [(p1[i, j], p2[i, j], n0[i, j], dl[i, j])
-                for i in range(lattice) for j in range(lattice)]
+        u = p[:, None] - p[None, :]
+        rows = csvio.grid_rows(initial_density_formula(q_peak, u),
+                               delta_formula(q_peak, u))
         path = out / "fig2_density.csv"
-        write_csv(path, ["pX", "pY", "N0", "delta"], rows)
+        csvio.write_csv(path, ["pX", "pY", "N0", "delta"], rows)
         written["fig2"] = path
 
     if "fig3" in figures:
@@ -261,18 +244,16 @@ def figure_tables(out_dir, figures=("fig1", "fig2", "fig3", "fig4"),
         for q in q_list:
             period = 4.0 * math.pi / q
             us = np.linspace(0.0, 2.0 * period, 256, endpoint=False)
-            for u, d in zip(us, delta_formula(q, us)):
-                rows.append((q, u, d))
+            rows += zip([q] * len(us), us.tolist(), delta_formula(q, us).tolist())
         path = out / "fig3_profiles.csv"
-        write_csv(path, ["q", "u", "delta"], rows)
+        csvio.write_csv(path, ["q", "u", "delta"], rows)
         written["fig3"] = path
 
     if "fig4" in figures:
-        qs = np.linspace(0.0, math.pi, sweep_resolution, endpoint=False)
-        rows = [(q, delta_max(float(q)), delta_max_integer(float(q)))
-                for q in qs]
+        qs = np.linspace(0.0, math.pi, sweep_resolution, endpoint=False).tolist()
+        rows = [(q, delta_max(q), delta_max_integer(q)) for q in qs]
         path = out / "fig4_deltam.csv"
-        write_csv(path, ["q", "deltaM_continuous", "deltaM_integer"], rows)
+        csvio.write_csv(path, ["q", "deltaM_continuous", "deltaM_integer"], rows)
         written["fig4"] = path
 
     return written

@@ -8,13 +8,13 @@ of W1's eigenvalues maps out where the shear wave acts.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import csvio
 from .errors import ConfigurationError
 from .walk import SpinorField, WalkParams, plane_wave_transfer_matrix, pure_shear_angles
 
@@ -361,15 +361,17 @@ class SpectrumGrid:
 
     @classmethod
     def sample(cls, fn: Callable, resolution: int, kind: str) -> "SpectrumGrid":
+        """Evaluate fn(qX, qY) one qX row at a time into a preallocated grid,
+        so no full-grid coordinate or temporary arrays are built."""
         ax = -TWO_PI + 2 * TWO_PI * np.arange(resolution) / resolution
-        qx, qy = np.meshgrid(ax, ax, indexing="ij")
-        return cls(ax.copy(), ax.copy(), np.asarray(fn(qx, qy)), kind)
+        values = np.empty((resolution, resolution))
+        for i, x in enumerate(ax):
+            values[i] = fn(np.full(resolution, x), ax)
+        return cls(ax, ax.copy(), values, kind)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["qX", "qY", "value"])
-            for i, x in enumerate(self.qx):
-                for j, y in enumerate(self.qy):
-                    writer.writerow([format(x, ".17g"), format(y, ".17g"),
-                                     format(self.values[i, j], ".17g")])
+    def to_csv(self, path) -> int:
+        """Write the grid as qX,qY,value rows, qY fastest; returns the row count."""
+        qy = self.qy.tolist()
+        rows = ((x, y, v) for x, vals in zip(self.qx.tolist(), self.values)
+                for y, v in zip(qy, vals.tolist()))
+        return csvio.write_csv(path, ["qX", "qY", "value"], rows)

@@ -378,59 +378,6 @@ def t_epsilon_field(provider: AngleProvider, j: int, shape: tuple[int, int],
     return _t_epsilon_values(provider, j, *np.indices(shape), params)
 
 
-_ETA = (1.0, -1.0, -1.0)
-_LEVI = {(0, 1, 2): 1.0, (1, 2, 0): 1.0, (2, 0, 1): 1.0,
-         (0, 2, 1): -1.0, (2, 1, 0): -1.0, (1, 0, 2): -1.0}
-
-
-def _triad_pair(provider, j, p1, p2):
-    """Embedded 3x3 triad and dual triad at one site and time."""
-    from . import geometry
-    angles = [float(provider.angle(j, p1, p2, kl)) for kl in KL_PAIRS]
-    triad = geometry.triad_from_angles(*angles)
-    return triad, geometry.dual_triad(triad)
-
-
-def _site_rates(provider, j, p1, p2, eps) -> list:
-    """Centered differences of the dual triad along lattice axes 1 and 2."""
-    return [(_triad_pair(provider, j, p1 + dp1, p2 + dp2)[1].d
-             - _triad_pair(provider, j, p1 - dp1, p2 - dp2)[1].d) / eps
-            for dp1, dp2 in ((1, 0), (0, 1))]
-
-
-def t_epsilon_compact(provider: AngleProvider, j: int, p1: int, p2: int,
-                      params: WalkParams) -> float:
-    """Same scalar via the frame-field contraction -levi^{abc} eta_cd e^mu_(a) D_b e^(d)_mu.
-
-    The derivative triple uses the forward time difference for b = 0 and
-    centered site differences for b = 1, 2; the spatial terms vanish
-    identically because of the block structure of the frames, so the value
-    agrees with :func:`t_epsilon` to roundoff.
-    """
-    eps = params.epsilon
-    p1, p2 = int(p1), int(p2)
-    triad, dual = _triad_pair(provider, j, p1, p2)
-    rates = [(_triad_pair(provider, j + 1, p1, p2)[1].d - dual.d) / eps]
-    rates += _site_rates(provider, j, p1, p2, eps)
-    return -sum(sign * _ETA[c] * float(triad.e[:, a] @ rates[b][c, :])
-                for (a, b, c), sign in _LEVI.items())
-
-
-def spatial_nullity_terms(provider: AngleProvider, j: int, p1: int, p2: int,
-                          params: WalkParams) -> tuple[float, float]:
-    """The two site-difference contractions K^i = levi^{ibc} e^mu_(b) eta_cd D_i e^(d)_mu.
-
-    Both are identically zero for the embedded frames; exposed so tests can
-    assert the nullity on arbitrary angle fields.
-    """
-    p1, p2 = int(p1), int(p2)
-    triad, _ = _triad_pair(provider, j, p1, p2)
-    rates = _site_rates(provider, j, p1, p2, params.epsilon)
-    return tuple(sum(sign * _ETA[c] * float(triad.e[:, b] @ rates[i - 1][c, :])
-                     for (a, b, c), sign in _LEVI.items() if a == i)
-                 for i in (1, 2))
-
-
 # ---------------------------------------------------------------------------
 # full step
 # ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ def test_criterion_06_appendix_identities():
             continue  # reject ill-conditioned histories, they are not valid inputs
         provider = walk.array_angles(angles)
         direct = walk.t_epsilon(provider, 0, 0, 0, params)
-        compact = walk.t_epsilon_compact(provider, 0, 0, 0, params)
+        compact = geometry.t_epsilon_compact(provider, 0, 0, 0, params)
         worst_t = max(worst_t, abs(direct - compact))
         trials += 1
     assert worst_t < 1e-12

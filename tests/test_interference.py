@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from gwalk.errors import ConfigurationError
-from gwalk.interference import (InterferenceSetup, admissible_q,
-                                delta_formula, delta_max, delta_max_closed,
+from gwalk.interference import (InterferenceSetup, _golden_max, admissible_q,
+                                delta_formula, delta_max,
                                 delta_max_integer, delta_max_peak,
                                 delta_simulated, figure_tables,
                                 initial_density_formula,
@@ -16,6 +18,18 @@ from gwalk.walk import WalkParams, pure_shear_angles, step
 
 SQ2 = math.sqrt(2.0)
 Q_ADMISSIBLE = admissible_q(1.97504, 64)  # 10*pi/16 on the default lattice
+
+
+def numeric_delta_max(q):
+    """Oracle for delta_max: max over u of |delta(q, u)| by 4096 samples of
+    one period plus golden-section refinement around the best sample.
+    The search runs over the phase t = u / period, so its tolerance stays
+    above float resolution however long the period."""
+    period = 4.0 * math.pi / q
+    ts = np.arange(4096) / 4096
+    i = int(np.argmax(np.abs(delta_formula(q, period * ts))))
+    return _golden_max(lambda t: float(np.abs(delta_formula(q, period * t))),
+                       ts[i] - 1 / 4096, ts[i] + 1 / 4096, 1e-10)[1]
 
 
 def make_setup(xi=1e-4, q=Q_ADMISSIBLE, length=64):
@@ -133,10 +147,10 @@ class TestDeltaMax:
         assert delta_max(math.pi - 1e-4) < 1e-6
         assert delta_max(0.0) == 0.0
 
-    def test_matches_closed_form(self):
-        for q in np.linspace(0.05, math.pi - 0.05, 23):
-            assert delta_max(float(q)) == pytest.approx(
-                delta_max_closed(float(q)), abs=1e-8)
+    @given(st.floats(0.0, math.pi, exclude_min=True, exclude_max=True))
+    def test_matches_closed_form(self, q):
+        assume(math.isfinite(4.0 * math.pi / q))  # the oracle samples one period
+        assert abs(delta_max(q) - numeric_delta_max(q)) < 1e-12
 
     def test_reflection_symmetry(self):
         qs = np.linspace(0.02, math.pi / 2, 64)

@@ -320,6 +320,7 @@ class TestSpectrumGrid:
         lines = path.read_text().splitlines()
         assert lines[0] == "qX,qY,value"
         assert len(lines) == 1 + 64
-        qx, qy, value = (float(v) for v in lines[1].split(","))
-        assert (qx, qy) == (-TWO_PI, -TWO_PI)
-        assert value == pytest.approx(float(rho(-TWO_PI, -TWO_PI)), abs=1e-15)
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert tuple(rows[0, :2]) == (-TWO_PI, -TWO_PI)
+        np.testing.assert_allclose(rows[:, 2], rho(rows[:, 0], rows[:, 1]),
+                                   rtol=0, atol=1e-15)

@@ -8,11 +8,12 @@ from hypothesis.extra import numpy as hnp
 
 from gwalk import walk
 from gwalk.errors import ConfigurationError, GeometryError
+from gwalk.geometry import spatial_nullity_terms, t_epsilon_compact
 from gwalk.walk import (AngleProvider, SpinorField, WalkParams, array_angles,
                         coin_matrix, constant_angles, evolve, flat_angles,
                         plane_wave_transfer_matrix, pure_shear_angles,
-                        shift_apply, spatial_nullity_terms, step, t_epsilon,
-                        t_epsilon_compact, uniform_time_angles, w_block_apply)
+                        shift_apply, step, t_epsilon, uniform_time_angles,
+                        w_block_apply)
 from gwalk.walk import t_epsilon_field
 
 RNG_ANGLE_RANGES = ((0.1, 0.7), (0.9, 1.4))  # keeps the cosine matrix well conditioned
