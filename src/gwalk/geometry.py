@@ -16,8 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GeometryError, SignConditionError
-from .walk import (KL_PAIRS, SINGULAR_DET_TOL, AngleProvider, WalkParams,
-                   uniform_time_angles)
+from .walk import KL_PAIRS, SINGULAR_DET_TOL, AngleProvider, WalkParams
 
 ETA = np.diag([1.0, -1.0, -1.0])
 _ETA = (1.0, -1.0, -1.0)
@@ -137,10 +136,7 @@ def gw_angles(gw: GwParams, t: float) -> tuple[float, float, float, float]:
     v11 = -gw.xi * (f_val - gw.k)
     v22 = gw.xi * (f_val + gw.k_prime)
     # forgive pure roundoff below zero
-    if -_BORDER_TOL <= v11 < 0.0:
-        v11 = 0.0
-    if -_BORDER_TOL <= v22 < 0.0:
-        v22 = 0.0
+    v11, v22 = (0.0 if -_BORDER_TOL <= v < 0.0 else v for v in (v11, v22))
     if v11 < 0.0:
         raise SignConditionError(
             f"-xi*(F(T) - K) = {v11:.6g} < 0 at T = {t:g}: increase K so the "
@@ -170,9 +166,7 @@ def gw_metric_reference(gw: GwParams, t: float) -> Metric3:
 
 def gw_angle_provider(gw: GwParams, epsilon: float = 1.0) -> AngleProvider:
     """Angle provider evaluating the wave at lattice times T = j*eps."""
-    def ang(which):
-        return lambda t: gw_angles(gw, t)[which]
-    return uniform_time_angles(ang(0), ang(1), ang(2), ang(3), epsilon=epsilon)
+    return AngleProvider(lambda j: gw_angles(gw, j * epsilon), uniform_in_space=True)
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +175,7 @@ def gw_angle_provider(gw: GwParams, epsilon: float = 1.0) -> AngleProvider:
 
 def _triad_pair(provider, j, p1, p2):
     """Embedded 3x3 triad and dual triad at one site and time."""
-    angles = [float(provider.angle(j, p1, p2, kl)) for kl in KL_PAIRS]
-    triad = triad_from_angles(*angles)
+    triad = triad_from_angles(*(provider.angle(j, p1, p2, kl) for kl in KL_PAIRS))
     return triad, dual_triad(triad)
 
 

@@ -146,9 +146,11 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _golden_max(fn, a: float, b: float, tol: float) -> tuple[float, float]:
+    """Golden-section search for a maximum of `fn` on [a, b], to width `tol`
+    or until float spacing stops the bracket from shrinking."""
     c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > tol:
+    while b - a > tol and a < c < d < b:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)

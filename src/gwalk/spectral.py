@@ -19,7 +19,6 @@ from .errors import ConfigurationError
 from .walk import SpinorField, WalkParams, plane_wave_transfer_matrix, pure_shear_angles
 
 TWO_PI = 2.0 * np.pi
-_SQRT2 = np.sqrt(2.0)
 
 
 class ModePoint(NamedTuple):
@@ -56,14 +55,21 @@ def mode_w0(qx, qy) -> np.ndarray:
     return out
 
 
-def amplitude_pair_bar(qx, qy) -> tuple[np.ndarray, np.ndarray]:
-    """Unscaled complex amplitudes (Abar, Bbar) of the first-order operator."""
+def _amplitude_parts(qx, qy) -> tuple:
+    """Real and imaginary parts of Abar and Bbar, in that order."""
     qx = np.asarray(qx, float)
     qy = np.asarray(qy, float)
-    a_re = -np.cos(qx - qy) + np.cos(qy) - np.sin(qy) + np.sin(2 * qy)
-    a_im = -np.cos(qx + qy) + np.cos(qy) + np.sin(qy)
-    b_re = np.sin(qx + qy) - np.sin(qy) + np.cos(qy) - np.cos(2 * qy)
-    b_im = np.sin(qx - qy) + np.sin(qy) + np.cos(qy) - 1.0
+    cy, sy = np.cos(qy), np.sin(qy)
+    a_re = -np.cos(qx - qy) + cy - sy + 2.0 * sy * cy
+    a_im = -np.cos(qx + qy) + cy + sy
+    b_re = np.sin(qx + qy) - sy + cy - (cy - sy) * (cy + sy)
+    b_im = np.sin(qx - qy) + sy + cy - 1.0
+    return a_re, a_im, b_re, b_im
+
+
+def amplitude_pair_bar(qx, qy) -> tuple[np.ndarray, np.ndarray]:
+    """Unscaled complex amplitudes (Abar, Bbar) of the first-order operator."""
+    a_re, a_im, b_re, b_im = _amplitude_parts(qx, qy)
     return a_re + 1j * a_im, b_re + 1j * b_im
 
 
@@ -71,8 +77,9 @@ def mode_w1(qx, qy) -> np.ndarray:
     """First-order (in xi*g) mode operator, from the closed-form amplitudes."""
     qx, qy = np.broadcast_arrays(np.asarray(qx, float), np.asarray(qy, float))
     abar, bbar = amplitude_pair_bar(qx, qy)
-    a = np.exp(1j * np.pi / 4) * abar / _SQRT2
-    b = np.exp(-1j * np.pi / 4) * bbar / _SQRT2
+    # exp(+-i pi/4) / sqrt(2) = (1 +- i) / 2
+    a = (0.5 + 0.5j) * abar
+    b = (0.5 - 0.5j) * bbar
     ex = np.exp(1j * qx)
     out = np.empty(qx.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = ex * a
@@ -88,8 +95,8 @@ def rho(qx, qy):
     Uses the unscaled amplitude pair; the eigenvalue modulus of
     :func:`mode_w1` is rho / sqrt(2).
     """
-    abar, bbar = amplitude_pair_bar(qx, qy)
-    return np.sqrt(np.abs(abar) ** 2 + np.abs(bbar) ** 2)
+    a_re, a_im, b_re, b_im = _amplitude_parts(qx, qy)
+    return np.sqrt(a_re ** 2 + a_im ** 2 + b_re ** 2 + b_im ** 2)
 
 
 @dataclass(frozen=True)

@@ -87,14 +87,13 @@ class WalkParams:
 
 
 class AngleProvider:
-    """Source of the four coin angles theta^{kl}(j, p1, p2).
+    """Source of the four coin-angle fields theta^{kl}, one time slice at a time.
 
-    ``fn(j, p1, p2, kl)`` must be deterministic and side-effect free,
-    defined for every integer time j >= 0 (the stepper also queries j+1)
-    and at any integer site, including out-of-range ones, which wrap with
-    the periodic lattice; it must accept integer arrays for p1/p2.
-    Providers that do not depend on the site should set
-    ``uniform_in_space`` so callers can use the cheaper scalar paths.
+    ``fn(j)`` returns the four angles at time j in ``KL_PAIRS`` order:
+    scalars when ``uniform_in_space``, else (L1, L2) arrays covering the
+    lattice, which callers only read.  It must be deterministic, free of
+    side effects and defined for every integer time j >= 0; the stepper
+    also asks for j+1.
     """
 
     def __init__(self, fn: Callable, uniform_in_space: bool = False):
@@ -102,15 +101,20 @@ class AngleProvider:
         self.uniform_in_space = bool(uniform_in_space)
 
     def angle(self, j: int, p1, p2, kl: tuple[int, int]):
-        return self._fn(int(j), p1, p2, tuple(kl))
+        """One angle at site (p1, p2); sites wrap with the periodic lattice."""
+        a = self._fn(int(j))[KL_PAIRS.index(tuple(kl))]
+        return a if self.uniform_in_space else a[p1 % a.shape[0], p2 % a.shape[1]]
 
     def fields(self, j: int, shape: tuple[int, int]) -> dict:
         """Angles of all four kinds at time j, as scalars or (L1, L2) arrays."""
+        th = dict(zip(KL_PAIRS, self._fn(int(j))))
         if self.uniform_in_space:
-            return {kl: float(self.angle(j, 0, 0, kl)) for kl in KL_PAIRS}
-        p1, p2 = np.indices(shape)
-        return {kl: np.asarray(self.angle(j, p1, p2, kl), dtype=float)
-                for kl in KL_PAIRS}
+            return {kl: float(a) for kl, a in th.items()}
+        bad = [np.shape(a) for a in th.values() if np.shape(a) != tuple(shape)]
+        if bad:
+            raise ConfigurationError(f"angle slice at time j={j} has shape {bad[0]}, "
+                                     f"not the lattice's {tuple(shape)}")
+        return th
 
 
 def constant_angles(t11: float, t12: float, t21: float, t22: float) -> AngleProvider:
@@ -124,11 +128,8 @@ def flat_angles() -> AngleProvider:
 
 def uniform_time_angles(t11, t12, t21, t22, epsilon: float = 1.0) -> AngleProvider:
     """Space-uniform angles; each argument is a constant or a function of T = j*eps."""
-    def as_fn(v):
-        return v if callable(v) else (lambda T, _v=float(v): _v)
-    fns = {(1, 1): as_fn(t11), (1, 2): as_fn(t12),
-           (2, 1): as_fn(t21), (2, 2): as_fn(t22)}
-    return AngleProvider(lambda j, p1, p2, kl: fns[kl](j * epsilon),
+    fns = [v if callable(v) else (lambda T, c=float(v): c) for v in (t11, t12, t21, t22)]
+    return AngleProvider(lambda j: tuple(f(j * epsilon) for f in fns),
                          uniform_in_space=True)
 
 
@@ -143,23 +144,27 @@ def pure_shear_angles(xi: float, g, epsilon: float = 1.0) -> AngleProvider:
 
 
 def array_angles(arrays: dict) -> AngleProvider:
-    """Provider backed by precomputed arrays of shape (n_times, L1, L2).
+    """Provider backed by precomputed stacks of shape (n_times, L1, L2).
 
-    Stepping up to time j requires n_times >= j + 2, one extra slice for
-    the time difference in the mass-like term.
+    Slice j is a read-only view of each stack; float64 stacks are not
+    copied.  Stacks of shape (n_times, 1, 1) give space-uniform angles;
+    otherwise each slice must have the lattice's shape.  Stepping up to
+    time j requires n_times >= j + 2, one extra slice for the time
+    difference in the mass-like term.
     """
-    arrs = {tuple(kl): np.asarray(a, dtype=float) for kl, a in arrays.items()}
-    if set(arrs) != set(KL_PAIRS):
+    if set(arrays) != set(KL_PAIRS):
         raise ConfigurationError("array_angles needs all four (k, l) angle arrays")
-    uniform = all(a.shape[1:] == (1, 1) for a in arrs.values())
+    stacks = [np.asarray(arrays[kl], dtype=float).view() for kl in KL_PAIRS]
+    for a in stacks:
+        a.flags.writeable = False
+    times = min(a.shape[0] for a in stacks)
+    uniform = all(a.shape[1:] == (1, 1) for a in stacks)
 
-    def fn(j, p1, p2, kl):
-        a = arrs[kl]
-        if j >= a.shape[0]:
+    def fn(j):
+        if not 0 <= j < times:
             raise ConfigurationError(
-                f"angle arrays cover times [0, {a.shape[0]}), queried j={j}")
-        # sites wrap with the periodic lattice
-        return a[j][np.mod(p1, a.shape[1]), np.mod(p2, a.shape[2])]
+                f"angle arrays cover times [0, {times}), queried j={j}")
+        return tuple(a[j, 0, 0] if uniform else a[j] for a in stacks)
 
     return AngleProvider(fn, uniform_in_space=uniform)
 
@@ -336,25 +341,26 @@ def w_block_apply(field: SpinorField, axis: int, theta) -> SpinorField:
 # mass-like time-difference scalar
 # ---------------------------------------------------------------------------
 
-def _cos_and_inverse(provider: AngleProvider, j: int, p1, p2):
-    """Entries of the cosine matrix C at time j and of its inverse."""
-    c11, c12, c21, c22 = (np.cos(provider.angle(j, p1, p2, kl)) for kl in KL_PAIRS)
+def _cos_and_inverse(th: dict, j: int, site=None):
+    """Entries of the cosine matrix C and of its inverse from the angles at
+    time j; `site` names the site of single-site angles."""
+    c11, c12, c21, c22 = (np.cos(th[kl]) for kl in KL_PAIRS)
     det = c11 * c22 - c12 * c21
     bad = np.abs(det) < SINGULAR_DET_TOL
     if np.any(bad):
-        idx = np.unravel_index(np.argmax(bad), np.shape(bad))
-        site = (int(np.asarray(p1)[idx]), int(np.asarray(p2)[idx]))
+        if site is None:
+            # a space-uniform C is singular everywhere: name site (0, 0)
+            site = np.unravel_index(np.argmax(bad), np.shape(bad)) or (0, 0)
         raise GeometryError(
             f"cosine matrix singular (|det| < {SINGULAR_DET_TOL:g}) "
-            f"at time j={j}, site {site}")
+            f"at time j={j}, site {tuple(int(p) for p in site)}")
     return (c11, c12, c21, c22), (c22 / det, -c12 / det, -c21 / det, c11 / det)
 
 
-def _t_epsilon_values(provider: AngleProvider, j: int, p1, p2,
-                      params: WalkParams):
-    """T at (j, p1, p2); p1/p2 may be integer arrays."""
-    (c11, c12, c21, c22), inv = _cos_and_inverse(provider, j, p1, p2)
-    _, inv_next = _cos_and_inverse(provider, j + 1, p1, p2)
+def _t_epsilon_values(th: dict, th_next: dict, j: int, params: WalkParams, site=None):
+    """T from the angles at times j and j+1, scalars or (L1, L2) arrays."""
+    (c11, c12, c21, c22), inv = _cos_and_inverse(th, j, site)
+    _, inv_next = _cos_and_inverse(th_next, j + 1, site)
     d11, d12, d21, d22 = ((b - a) / params.epsilon for a, b in zip(inv, inv_next))
     # sum_k [ C^{k2} D0 (C^-1)^{1k} - C^{k1} D0 (C^-1)^{2k} ]
     return c12 * d11 - c11 * d21 + c22 * d12 - c21 * d22
@@ -362,20 +368,21 @@ def _t_epsilon_values(provider: AngleProvider, j: int, p1, p2,
 
 def t_epsilon(provider: AngleProvider, j: int, p1: int, p2: int,
               params: WalkParams) -> float:
-    """Time-difference scalar entering the mass gate.
+    """Time-difference scalar entering the mass gate, at one site.
 
     Vanishes whenever the cosine matrix is diagonal, antidiagonal or
     independent of j.
     """
-    return float(_t_epsilon_values(provider, j, int(p1), int(p2), params))
+    site = (int(p1), int(p2))
+    th = [{kl: provider.angle(t, *site, kl) for kl in KL_PAIRS} for t in (j, j + 1)]
+    return float(_t_epsilon_values(*th, j, params, site))
 
 
 def t_epsilon_field(provider: AngleProvider, j: int, shape: tuple[int, int],
                     params: WalkParams):
     """T over the whole lattice; scalar for space-uniform providers."""
-    if provider.uniform_in_space:
-        return t_epsilon(provider, j, 0, 0, params)
-    return _t_epsilon_values(provider, j, *np.indices(shape), params)
+    return _t_epsilon_values(provider.fields(j, shape), provider.fields(j + 1, shape),
+                             j, params)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +427,7 @@ def plane_wave_transfer_matrix(provider: AngleProvider, j: int,
         raise ConfigurationError(
             "plane-wave transfer matrix requires space-uniform angles")
     th = provider.fields(j, (2, 2))
-    te = t_epsilon(provider, j, 0, 0, params)
+    te = t_epsilon_field(provider, j, (2, 2), params)
     phases = {0: 1.0, 1: np.exp([[1j * k1], [-1j * k1]]),
               2: np.exp([[1j * k2], [-1j * k2]])}
     tm = np.eye(2)

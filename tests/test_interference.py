@@ -142,6 +142,20 @@ class TestDeltaMax:
         # the maximum response there is still the peak value to 1e-2
         assert delta_max(Q_ADMISSIBLE) == pytest.approx(2.48161, abs=1e-2)
 
+    def test_golden_search_stops_when_floats_run_out(self):
+        # near 1e7 float spacing (1.9e-9) exceeds tol, so the bracket stops
+        # shrinking before it is tol wide
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            if len(calls) > 10_000:
+                raise RuntimeError("golden-section search did not stop")
+            return -(x - 1e7) ** 2
+
+        x, value = _golden_max(fn, 1e7 - 1, 1e7 + 1, 1e-10)
+        assert abs(x - 1e7) < 1e-8 and value == fn(x)
+
     def test_endpoints_vanish(self):
         assert delta_max(1e-4) < 1e-6
         assert delta_max(math.pi - 1e-4) < 1e-6

@@ -327,8 +327,9 @@ class TestAngleProviders:
     def test_array_provider_bounds_check(self):
         rng = np.random.default_rng(14)
         provider = random_history_provider(rng, times=2, shape=(4, 4))
-        with pytest.raises(ConfigurationError, match="cover times"):
-            provider.angle(2, 0, 0, (1, 1))
+        for j in (2, -1):
+            with pytest.raises(ConfigurationError, match="cover times"):
+                provider.angle(j, 0, 0, (1, 1))
 
     def test_fields_shapes(self):
         provider = flat_angles()
@@ -338,6 +339,24 @@ class TestAngleProviders:
         arr_provider = random_history_provider(rng, times=2, shape=(4, 6))
         th = arr_provider.fields(0, (4, 6))
         assert th[(1, 1)].shape == (4, 6)
+
+    def test_array_slices_are_read_only_views_of_the_stacks(self):
+        rng = np.random.default_rng(17)
+        stacks = {kl: rng.uniform(0.1, 0.7, (3, 4, 6)) for kl in walk.KL_PAIRS}
+        th = array_angles(stacks).fields(1, (4, 6))
+        for kl, a in th.items():
+            assert np.shares_memory(a, stacks[kl])
+            np.testing.assert_array_equal(a, stacks[kl][1])
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 0.0
+            assert stacks[kl].flags.writeable
+
+    @pytest.mark.parametrize("sites", [(4, 6), (8, 1)])
+    def test_per_site_stack_must_match_the_lattice(self, sites):
+        rng = np.random.default_rng(18)
+        provider = random_history_provider(rng, times=2, shape=sites)
+        with pytest.raises(ConfigurationError, match="lattice"):
+            step(SpinorField.zeros((8, 6)), 0, provider, WalkParams())
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +437,19 @@ class TestGateListProperties:
         tm = plane_wave_transfer_matrix(provider, 0, k1, k2, params)
         expected = SpinorField.plane_wave(shape, k1, k2, tm @ pol)
         assert np.abs(step(f, 0, provider, params).data - expected.data).max() < 1e-12
+
+
+class TestTimeSliceProperties:
+    @given(walk_cases(uniform=False), st.integers(0, 1))
+    def test_t_epsilon_field_matches_single_site_t_epsilon(self, case, wraps):
+        # the single-site path reads provider.angle, which wraps sites
+        # periodically; the field path reads whole slices
+        provider, params, shape, _ = case
+        te = t_epsilon_field(provider, 0, shape, params)
+        for p1 in range(shape[0]):
+            for p2 in range(shape[1]):
+                site = (p1 - wraps * shape[0], p2 + wraps * shape[1])
+                assert abs(te[p1, p2] - t_epsilon(provider, 0, *site, params)) < 1e-14
 
 
 class TestPurity:
