@@ -232,10 +232,11 @@ def _wrap_zone(q: float) -> float:
 
 
 def find_rho_maxima(resolution: int = 1024) -> list[tuple[ModePoint, float]]:
-    """The four equal absolute maxima of rho over the zone.
+    """The four equal absolute maxima of rho over the zone, sorted by (qX, qY).
 
-    Coarse scan on a resolution^2 grid, then shrinking-step refinement to
-    1e-8 in q; results sorted lexicographically by (qX, qY).
+    A coarse resolution^2 scan, then refinement down to a 1e-8 step: the
+    coordinates hold only to about 1e-8 (acceptance tolerance 1e-3), so past
+    that their 17 printed digits follow last-digit roundoff in rho.
     """
     if resolution < 256:
         raise ConfigurationError("resolution must be at least 256")
@@ -378,7 +379,5 @@ class SpectrumGrid:
 
     def to_csv(self, path) -> int:
         """Write the grid as qX,qY,value rows, qY fastest; returns the row count."""
-        qy = self.qy.tolist()
-        rows = ((x, y, v) for x, vals in zip(self.qx.tolist(), self.values)
-                for y, v in zip(qy, vals.tolist()))
-        return csvio.write_csv(path, ["qX", "qY", "value"], rows)
+        return csvio.write_csv(path, ["qX", "qY", "value"],
+                               csvio.grid_rows(self.values, axes=(self.qx, self.qy)))
