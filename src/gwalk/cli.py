@@ -302,12 +302,11 @@ def _run_continuum_check(cfg: RunConfig, out: Path, artifacts: list, metrics: di
 
 def _run_evolve(cfg: RunConfig, out: Path, artifacts: list, metrics: dict):
     provider = geometry.gw_angle_provider(cfg.gw, epsilon=cfg.params.epsilon)
-    f = walk.SpinorField.delta(cfg.lattice, (cfg.lattice[0] // 2, cfg.lattice[1] // 2))
-    norms = [(0, f.norm())]
-    for j in range(cfg.steps):
-        f = walk.step(f, j, provider, cfg.params)
-        norms.append((j + 1, f.norm()))
-    drift = abs(norms[-1][1] - norms[0][1])
+    f0 = walk.SpinorField.delta(cfg.lattice, (cfg.lattice[0] // 2, cfg.lattice[1] // 2))
+    f, after = walk._time_loop(f0, 0, cfg.steps, provider, cfg.params)
+    norms = list(enumerate([f0.norm(), *after]))
+    errors = [abs(n - norms[0][1]) for _, n in norms]
+    drift = errors[-1]
     if drift > NORM_DRIFT_TOL:
         raise ConsistencyError(
             f"norm drift {drift:.3e} after {cfg.steps} steps exceeds {NORM_DRIFT_TOL:g}")
@@ -318,6 +317,7 @@ def _run_evolve(cfg: RunConfig, out: Path, artifacts: list, metrics: dict):
                                            grid_rows(f.density()))))
     metrics["final_norm"] = norms[-1][1]
     metrics["norm_drift"] = drift
+    metrics["max_norm_error"] = max(errors)
 
 
 def _run_gw_angles(cfg: RunConfig, out: Path, artifacts: list, metrics: dict):

@@ -9,11 +9,21 @@ where W_k(th) = R^-1(th) U(th) S_k U(th) S_k R(th) is a pair of
 spin-dependent double jumps S_k dressed by local coin rotations, and T is
 the time-difference scalar built from the four cosine fields (see
 :func:`t_epsilon`).  The chain is written once, as a gate list that
-:func:`step` applies and :func:`plane_wave_transfer_matrix` multiplies with
-each S_k replaced by its plane-wave phase.  Neighbouring scalar gates with
-no shift between them are fused (9 gates per step for space-uniform
-angles); per-site gates are applied one by one.  All operations are pure:
-they read only the input field and return a fresh array.
+:func:`step` applies in real space.  Neighbouring scalar gates with no
+shift between them are fused (9 gates per step for space-uniform angles);
+per-site gates are applied one by one.
+
+For space-uniform angles every Fourier mode k = (k1, k2) evolves on its
+own, and each shift S_k acts on it as the phase pair (e^{ik}, e^{-ik}).
+The fused list then groups into three 2x2 factors, V_j(k) = C_j(k1)
+B_j(k2) A_j(k1): A_j runs up to the last axis-1 shift before the axis-2
+gates, B_j holds the four axis-2 gates and C_j the rest.
+:func:`plane_wave_transfer_matrix` is their product at one k, and
+:func:`evolve` steps such angles in Fourier space: one in-place transform,
+then per step one apply of B_j along axis 2 and one of A_{j+1} C_j along
+axis 1, and one inverse transform at the end.  No shift runs.  Per-site
+angles are stepped in real space.  All operations are pure: they read only
+the input field and return a fresh array.
 """
 
 from __future__ import annotations
@@ -320,6 +330,47 @@ def _apply(data: np.ndarray, gates) -> np.ndarray:
     return src.reshape(shape)
 
 
+# ---------------------------------------------------------------------------
+# per-axis factors of a space-uniform step
+# ---------------------------------------------------------------------------
+
+def _times(m, n) -> tuple:
+    """Entries of the 2x2 product M N, each matrix given by its entries
+    (m00, m01, m10, m11); entries are scalars or arrays over one axis."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _factors(th: dict, te, params: WalkParams, k1, k2) -> list:
+    """The step's factors [A(k1), B(k2), C(k1)] (module docstring) at the
+    wavenumbers k1 and k2, scalars or 1-D arrays, as entry tuples."""
+    phases = {0: (1.0, 1.0), 1: (np.exp(1j * k1), np.exp(-1j * k1)),
+              2: (np.exp(1j * k2), np.exp(-1j * k2))}
+    factors, axes = [], []
+    for k, _, axis in _fused(_step_gates(th, te, params)):
+        p, q = phases[axis]
+        gate = (p * k[0, 0], p * k[0, 1], q * k[1, 0], q * k[1, 1])
+        if factors and axis in (0, axes[-1]):
+            factors[-1] = _times(gate, factors[-1])
+        else:
+            factors.append(gate)
+            axes.append(axis)
+    return factors
+
+
+def _mode_apply(src: np.ndarray, m, axis: int, out: np.ndarray,
+                scratch: np.ndarray) -> np.ndarray:
+    """out = M src at every Fourier mode of a (2, L1, L2) array; the entries
+    of M are arrays along `axis`.  `scratch` is one (L1, L2) component."""
+    a, b, c, d = (np.reshape(e, (-1, 1)) if axis == 1 else e for e in m)
+    for row, (x, y) in enumerate(((a, b), (c, d))):
+        np.multiply(src[0], x, out=out[row])
+        np.multiply(src[1], y, out=scratch)
+        out[row] += scratch
+    return out
+
+
 def _check_axis(axis: int) -> None:
     if axis not in (1, 2):
         raise ConfigurationError(f"axis must be 1 or 2, got {axis!r}")
@@ -402,15 +453,63 @@ def step(field: SpinorField, j: int, provider: AngleProvider,
     return SpinorField(_apply(field.data, _fused(_step_gates(th, te, params))))
 
 
-def evolve(field: SpinorField, j0: int, steps: int, provider: AngleProvider,
-           params: WalkParams) -> SpinorField:
-    """Compose `steps` walk steps starting at time j0; steps = 0 is the identity."""
+def _time_loop(field: SpinorField, j0: int, steps: int, provider: AngleProvider,
+               params: WalkParams) -> tuple[SpinorField, list[float]]:
+    """`steps` walk steps from time j0: the final field and the norm after
+    each step.  Space-uniform angles are stepped in Fourier space, where the
+    norms come from Parseval's identity; others call :func:`step`."""
     if steps < 0:
         raise ConfigurationError(f"steps must be >= 0, got {steps}")
-    out = field.copy()
-    for n in range(steps):
-        out = step(out, j0 + n, provider, params)
-    return out
+    if steps == 0 or not provider.uniform_in_space:
+        out, norms = field.copy(), []
+        for n in range(steps):
+            out = step(out, j0 + n, provider, params)
+            norms.append(out.norm())
+        return out, norms
+    spec = field.data.copy()
+    for axis in (1, 2):
+        np.fft.fft(spec, axis=axis, norm="ortho", out=spec)
+    # the second buffer and the scratch are freed when this call returns
+    spec, norms = _fourier_steps(spec, j0, steps, provider, params)
+    for axis in (1, 2):
+        np.fft.ifft(spec, axis=axis, norm="ortho", out=spec)
+    return SpinorField(spec), norms
+
+
+def _fourier_steps(spec: np.ndarray, j0: int, steps: int, provider: AngleProvider,
+                   params: WalkParams) -> tuple[np.ndarray, list[float]]:
+    """Step the unitary Fourier transform `spec` of a field, which is
+    overwritten, through ping-pong buffers; see the module docstring.  The
+    norm after step j is taken after A_{j+1} C_j, which is unitary too."""
+    shape = spec.shape[1:]
+    k1, k2 = (2 * np.pi * np.arange(n) / n for n in shape)
+
+    def factors(j):
+        th = provider.fields(j, shape)
+        return _factors(th, t_epsilon_field(provider, j, shape, params), params, k1, k2)
+
+    dst, scratch = np.empty_like(spec), np.empty(shape, dtype=complex)
+    a, b, c = factors(j0)
+    src, dst = _mode_apply(spec, a, 1, dst, scratch), spec
+    norms = []
+    for j in range(j0, j0 + steps):
+        src, dst = _mode_apply(src, b, 2, dst, scratch), src
+        last = c
+        if j + 1 < j0 + steps:
+            a, b, c = factors(j + 1)
+            last = _times(a, last)
+        src, dst = _mode_apply(src, last, 1, dst, scratch), src
+        # einsum, not a BLAS dot: threaded OpenBLAS stalled on it in some runs
+        flat = src.view(np.float64).ravel()
+        norms.append(math.sqrt(np.einsum("i,i", flat, flat)))
+    return src, norms
+
+
+def evolve(field: SpinorField, j0: int, steps: int, provider: AngleProvider,
+           params: WalkParams) -> SpinorField:
+    """Compose `steps` walk steps starting at time j0; steps = 0 is the identity.
+    Space-uniform angles are stepped in Fourier space (module docstring)."""
+    return _time_loop(field, j0, steps, provider, params)[0]
 
 
 def plane_wave_transfer_matrix(provider: AngleProvider, j: int,
@@ -420,17 +519,12 @@ def plane_wave_transfer_matrix(provider: AngleProvider, j: int,
 
     Only defined for space-uniform angles, where every Fourier mode evolves
     independently.  The double jumps make this a function of q = 2k.  It is
-    the product of the step's gate list with each shift S_k replaced by
-    diag(e^{ik}, e^{-ik}).
+    the product C B A of the step's per-axis factors at (k1, k2).
     """
     if not provider.uniform_in_space:
         raise ConfigurationError(
             "plane-wave transfer matrix requires space-uniform angles")
     th = provider.fields(j, (2, 2))
     te = t_epsilon_field(provider, j, (2, 2), params)
-    phases = {0: 1.0, 1: np.exp([[1j * k1], [-1j * k1]]),
-              2: np.exp([[1j * k2], [-1j * k2]])}
-    tm = np.eye(2)
-    for k, _, axis in _fused(_step_gates(th, te, params)):
-        tm = phases[axis] * (k @ tm)
-    return tm
+    a, b, c = _factors(th, te, params, k1, k2)
+    return np.reshape(_times(c, _times(b, a)), (2, 2))

@@ -239,14 +239,17 @@ class TestMainExitCodes:
 
     def test_norm_drift_beyond_tolerance_is_3_and_writes_nothing(
             self, tmp_path, monkeypatch, capsys):
+        # the default evolve run has space-uniform angles, so it steps in
+        # Fourier space: leak norm through the per-mode apply
         import gwalk.walk as walk_mod
-        exact_step = walk_mod.step
+        exact_apply = walk_mod._mode_apply
 
-        def leaky_step(field, j, provider, params):
-            out = exact_step(field, j, provider, params)
-            return walk_mod.SpinorField(out.data * (1.0 + 1e-6))
+        def leaky_apply(*args):
+            out = exact_apply(*args)
+            out *= 1.0 + 1e-6
+            return out
 
-        monkeypatch.setattr(walk_mod, "step", leaky_step)
+        monkeypatch.setattr(walk_mod, "_mode_apply", leaky_apply)
         code = main(["--experiment", "evolve", "--out", str(tmp_path / "out")])
         assert code == 3
         assert "norm drift" in capsys.readouterr().err

@@ -400,15 +400,15 @@ def oracle_step(field, j, provider, params):
 
 
 @st.composite
-def walk_cases(draw, uniform=None):
-    """Angle history over times 0 and 1, walk parameters, lattice shape, rng."""
-    shape = (draw(st.sampled_from((2, 4, 6, 8))), draw(st.sampled_from((2, 4, 6, 8))))
+def walk_cases(draw, uniform=None, sides=(2, 4, 6, 8), times=2):
+    """Angle history over times [0, times), walk parameters, lattice shape, rng."""
+    shape = (draw(st.sampled_from(sides)), draw(st.sampled_from(sides)))
     if uniform is None:
         uniform = draw(st.booleans())
     sites = (1, 1) if uniform else shape
 
     def history(lo, hi):
-        return draw(hnp.arrays(float, (2, *sites), elements=st.floats(lo, hi)))
+        return draw(hnp.arrays(float, (times, *sites), elements=st.floats(lo, hi)))
 
     (a, b), (c, d) = RNG_ANGLE_RANGES
     provider = array_angles({(1, 1): history(a, b), (2, 2): history(a, b),
@@ -437,6 +437,60 @@ class TestGateListProperties:
         tm = plane_wave_transfer_matrix(provider, 0, k1, k2, params)
         expected = SpinorField.plane_wave(shape, k1, k2, tm @ pol)
         assert np.abs(step(f, 0, provider, params).data - expected.data).max() < 1e-12
+
+
+class TestFourierEvolve:
+    # steps 0 and 1 are the edges of fusing C_j with A_{j+1}
+    @given(walk_cases(uniform=True, sides=tuple(range(2, 17, 2)), times=10),
+           st.integers(1, 3), st.integers(0, 6))
+    def test_uniform_evolve_matches_repeated_step(self, case, j0, steps):
+        provider, params, shape, rng = case
+        f = SpinorField.random(shape, rng)
+        expected, expected_norms = f, []
+        for j in range(j0, j0 + steps):
+            expected = step(expected, j, provider, params)
+            expected_norms.append(expected.norm())
+        out = evolve(f, j0, steps, provider, params)
+        assert np.abs(out.data - expected.data).max() < 1e-12
+        _, norms = walk._time_loop(f, j0, steps, provider, params)
+        assert len(norms) == steps
+        assert np.abs(np.subtract(norms, expected_norms)).max(initial=0.0) < 1e-12
+
+    def test_uniform_evolve_never_steps_in_real_space(self, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("real-space step called")
+
+        monkeypatch.setattr(walk, "step", no_step)
+        rng = np.random.default_rng(25)
+        f = SpinorField.random((8, 6), rng)
+        out = evolve(f, 2, 3, random_history_provider(rng, times=6), WalkParams())
+        assert abs(out.norm() - f.norm()) < 1e-12
+
+    def test_uniform_evolve_transforms_in_place(self):
+        # bound: the transformed copy, the second buffer and a half-size
+        # scratch; an out-of-place inverse transform holds one more field
+        rng = np.random.default_rng(27)
+        f = SpinorField.random((256, 256), rng)
+        provider = random_history_provider(rng, times=4)
+        evolve(f, 0, 2, provider, WalkParams())
+        tracemalloc.start()
+        try:
+            evolve(f, 0, 2, provider, WalkParams())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.75 * f.data.nbytes
+
+    def test_per_site_evolve_matches_repeated_step(self):
+        rng = np.random.default_rng(26)
+        provider = random_history_provider(rng, times=5, shape=(6, 8))
+        params = WalkParams(epsilon=0.6, mass=0.4)
+        f = SpinorField.random((6, 8), rng)
+        expected = f
+        for j in range(1, 4):
+            expected = step(expected, j, provider, params)
+        out = evolve(f, 1, 3, provider, params)
+        assert np.abs(out.data - expected.data).max() < 1e-13
 
 
 class TestTimeSliceProperties:
