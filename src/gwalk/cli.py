@@ -303,8 +303,8 @@ def _run_continuum_check(cfg: RunConfig, out: Path, artifacts: list, metrics: di
 def _run_evolve(cfg: RunConfig, out: Path, artifacts: list, metrics: dict):
     provider = geometry.gw_angle_provider(cfg.gw, epsilon=cfg.params.epsilon)
     f0 = walk.SpinorField.delta(cfg.lattice, (cfg.lattice[0] // 2, cfg.lattice[1] // 2))
-    f, after = walk._time_loop(f0, 0, cfg.steps, provider, cfg.params)
-    norms = list(enumerate([f0.norm(), *after]))
+    run = walk._time_loop(f0, 0, cfg.steps, provider, cfg.params)
+    norms = list(enumerate([f0.norm(), *run.norms]))
     errors = [abs(n - norms[0][1]) for _, n in norms]
     drift = errors[-1]
     if drift > NORM_DRIFT_TOL:
@@ -314,10 +314,12 @@ def _run_evolve(cfg: RunConfig, out: Path, artifacts: list, metrics: dict):
     artifacts.append((norm_path, write_csv(norm_path, ["step", "norm"], norms)))
     dens_path = out / "evolve_density.csv"
     artifacts.append((dens_path, write_csv(dens_path, ["pX", "pY", "density"],
-                                           grid_rows(f.density()))))
+                                           grid_rows(run.field.density()))))
     metrics["final_norm"] = norms[-1][1]
     metrics["norm_drift"] = drift
     metrics["max_norm_error"] = max(errors)
+    metrics["min_abs_det_c"] = run.min_abs_det_c
+    metrics["max_abs_t_eps"] = run.max_abs_t_eps
 
 
 def _run_gw_angles(cfg: RunConfig, out: Path, artifacts: list, metrics: dict):

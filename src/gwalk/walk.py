@@ -13,6 +13,20 @@ the time-difference scalar built from the four cosine fields (see
 shift between them are fused (9 gates per step for space-uniform angles);
 per-site gates are applied one by one.
 
+Each time slice of the angles is read once into a record: cos and sin of
+every theta/2, from which cos theta = (c - s)(c + s) and sin theta = 2cs
+follow, and the entries of C^-1, where |det C| is checked.  Step j needs
+the records of slices j and j+1 (the latter for T); :func:`evolve` carries
+the record of slice j+1 into step j+1, so each slice costs 8
+transcendentals once.
+
+Every gate is K * [[c, s], [s, c]] entrywise with K's entries in
+{+-1, +-i}.  Per-site gates are applied as real gates: the field is held
+as diag(phase) x with a pair of such unit phases, so that each output row
+is a x_0 +- b x_1 with the real fields a and b, and the unit factor moves
+into the phase (see :func:`_apply`).  Scalar gates absorb the phase, and
+what is left of it is applied once, at the end.
+
 For space-uniform angles every Fourier mode k = (k1, k2) evolves on its
 own, and each shift S_k acts on it as the phase pair (e^{ik}, e^{-ik}).
 The fused list then groups into three 2x2 factors, V_j(k) = C_j(k1)
@@ -22,15 +36,16 @@ gates, B_j holds the four axis-2 gates and C_j the rest.
 :func:`evolve` steps such angles in Fourier space: one in-place transform,
 then per step one apply of B_j along axis 2 and one of A_{j+1} C_j along
 axis 1, and one inverse transform at the end.  No shift runs.  Per-site
-angles are stepped in real space.  All operations are pure: they read only
-the input field and return a fresh array.
+angles are stepped in real space, through two buffers and a scratch array
+that the loop allocates once.  All public operations are pure: they read
+only the input field and return a fresh array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -183,6 +198,14 @@ def array_angles(arrays: dict) -> AngleProvider:
 # spinor field
 # ---------------------------------------------------------------------------
 
+def _norm(data: np.ndarray) -> float:
+    """2-norm of a complex array, as einsum on its float view: einsum runs
+    no BLAS threads, and threaded OpenBLAS stalled on a BLAS dot in some
+    runs."""
+    flat = data.view(np.float64).ravel()
+    return math.sqrt(np.einsum("i,i", flat, flat))
+
+
 @dataclass
 class SpinorField:
     """Two complex amplitudes per site, stored as a (2, L1, L2) array."""
@@ -228,17 +251,89 @@ class SpinorField:
     @classmethod
     def random(cls, shape, rng: np.random.Generator) -> "SpinorField":
         data = rng.standard_normal((2, *shape)) + 1j * rng.standard_normal((2, *shape))
-        data /= np.linalg.norm(data)
+        data /= _norm(data)
         return cls(data)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
+        return _norm(self.data)
 
     def density(self) -> np.ndarray:
         return (np.abs(self.data) ** 2).sum(axis=0)
 
     def copy(self) -> "SpinorField":
         return SpinorField(self.data.copy())
+
+
+# ---------------------------------------------------------------------------
+# time slices
+# ---------------------------------------------------------------------------
+
+class _Slice(NamedTuple):
+    """One time slice of the angles as the step uses it: (cos, sin) of each
+    theta/2 by (k, l), the entries of C^-1 in (11, 12, 21, 22) order, and
+    the smallest |det C| over the lattice."""
+
+    half: dict
+    inv: tuple
+    min_abs_det: float
+
+
+def _half(theta) -> tuple:
+    """cos and sin of theta/2; theta is a scalar or an (L1, L2) field."""
+    h = np.asarray(theta) * 0.5
+    return np.cos(h), np.sin(h)
+
+
+def _cos(half):
+    """cos theta = (c - s)(c + s) from half = (cos, sin) of theta/2."""
+    c, s = half
+    return (c - s) * (c + s)
+
+
+def _slice(th: dict, j: int, site=None) -> _Slice:
+    """The record of the angles `th` at time j; `site` names the site of
+    single-site angles in the error raised where C is singular."""
+    half = {kl: _half(th[kl]) for kl in KL_PAIRS}
+    c11, c12, c21, c22 = (_cos(half[kl]) for kl in KL_PAIRS)
+    det = c11 * c22 - c12 * c21
+    min_abs_det = float(np.min(np.abs(det)))
+    if min_abs_det < SINGULAR_DET_TOL:
+        bad = np.abs(det) < SINGULAR_DET_TOL
+        if site is None:
+            # a space-uniform C is singular everywhere: name site (0, 0)
+            site = np.unravel_index(np.argmax(bad), np.shape(bad)) or (0, 0)
+        raise GeometryError(
+            f"cosine matrix singular (|det| < {SINGULAR_DET_TOL:g}) "
+            f"at time j={j}, site {tuple(int(p) for p in site)}")
+    if np.ndim(det) == 0:
+        return _Slice(half, (c22 / det, -c12 / det, -c21 / det, c11 / det), min_abs_det)
+    # each cosine is used once more: overwrite it with its entry of C^-1
+    for c in (c22, c12, c21, c11):
+        np.divide(c, det, out=c)
+    for c in (c12, c21):
+        np.negative(c, out=c)
+    return _Slice(half, (c22, c12, c21, c11), min_abs_det)
+
+
+def _read_slice(provider: AngleProvider, j: int, shape: tuple[int, int]) -> _Slice:
+    return _slice(provider.fields(j, shape), j)
+
+
+def _step_gate_lists(provider: AngleProvider, j0: int, steps: int,
+                     shape: tuple[int, int], params: WalkParams, margins: list):
+    """The lazy gate list of each step j from j0 (:func:`_step_gates`),
+    reading each of the slices j0 .. j0 + steps once; `margins` is set to
+    [min |det C|, max |T|] over what was read.  Consume it to the end.  A
+    consumed list frees its slice, so at most two slices are held."""
+    rec = _read_slice(provider, j0, shape)
+    margins[:] = [rec.min_abs_det, 0.0]
+    for j in range(j0 + 1, j0 + steps + 1):
+        nxt = _read_slice(provider, j, shape)
+        te = _t_values(rec, nxt, params)
+        margins[:] = [min(margins[0], nxt.min_abs_det),
+                      max(margins[1], float(np.max(np.abs(te))))]
+        gates, rec, te = _step_gates(rec.half, te, params), nxt, None
+        yield gates
 
 
 # ---------------------------------------------------------------------------
@@ -253,26 +348,26 @@ def _gate(k: np.ndarray, c, s, axis: int = 0) -> tuple:
     return k, (c, s), axis
 
 
-def _w_gates(theta, axis: int):
-    """W_k(theta) = R^-1(th) U(th) S_k U(th) S_k R(th), first gate first."""
-    half = np.asarray(theta) / 2.0
-    r = (np.cos(half), np.sin(half))
-    u = _gate(_U_K, np.cos(theta), np.sin(theta))
-    yield _gate(_R_K, *r, axis)
+def _w_gates(half, axis: int):
+    """W_k(theta) = R^-1(th) U(th) S_k U(th) S_k R(th), first gate first;
+    `half` is (cos, sin) of theta/2, so sin theta = 2cs."""
+    u = _gate(_U_K, _cos(half), 2.0 * half[0] * half[1])
+    yield _gate(_R_K, *half, axis)
     yield u[:2] + (axis,)
     yield u
-    yield _gate(_R_INV_K, *r)
+    yield _gate(_R_INV_K, *half)
 
 
-def _step_gates(th: dict, te, params: WalkParams):
-    """The gates of V_j in the order they act, Q first (module docstring)."""
+def _step_gates(half: dict, te, params: WalkParams):
+    """The gates of V_j in the order they act, Q first (module docstring);
+    `half` is the half-angle dict of a :class:`_Slice`."""
     m_arg = params.epsilon * (params.mass - te / 4.0)
     yield _gate(_Q_K, np.cos(m_arg), np.sin(m_arg))
-    yield from _w_gates(th[(1, 1)], 1)
-    yield from _w_gates(th[(2, 1)], 2)
+    yield from _w_gates(half[(1, 1)], 1)
+    yield from _w_gates(half[(2, 1)], 2)
     yield PI_MATRIX, None, 0
-    yield from _w_gates(th[(2, 2)], 2)
-    yield from _w_gates(th[(1, 2)], 1)
+    yield from _w_gates(half[(2, 2)], 2)
+    yield from _w_gates(half[(1, 2)], 1)
     yield PI_INV_MATRIX, None, 0
 
 
@@ -303,31 +398,64 @@ def _rolls(l1: int, l2: int) -> dict:
     return rolls
 
 
-def _apply(data: np.ndarray, gates) -> np.ndarray:
-    """Apply the gates in order to a (2, L1, L2) array, which is only read,
-    through two ping-pong buffers and a scratch array allocated per call."""
-    shape = data.shape
+def _apply(src: np.ndarray, spare: np.ndarray, scratch: np.ndarray, gates,
+           phase=(1, 1)) -> tuple:
+    """Apply the gates in order to x = diag(phase) src, ping-ponging between
+    the (2, L1, L2) arrays `src` and `spare`, both overwritten; `scratch`
+    holds one component.  Returns (out, the free buffer, phase'), where the
+    result is diag(phase') out.
+
+    The phases are units in {+-1, +-i}.  Row r of a per-site gate
+    K * [[c, s], [s, c]] is psi_r (a x_0 + rho_r b x_1) on the stored x,
+    with (a, b) = (c, s) or (s, c), psi_r = K_r0 phase_0 and
+    rho_r = K_r1 phase_1 / psi_r, and psi becomes the phase: only the real
+    fields multiply the field.  Where rho_r = +-i, the stored x_1 is first
+    multiplied by i.  A scalar gate absorbs the phase into its matrix.
+    """
+    shape = src.shape
     rolls = _rolls(*shape[1:])
-    bufs = (np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
-    scratch = np.empty(shape[1] * shape[2], dtype=complex)
-    src = data.reshape(2, -1)
-    for n, (k, fields, axis) in enumerate(gates):
-        out = bufs[n % 2].reshape(2, -1)
-        if fields is not None:
-            fields = [np.broadcast_to(f, shape[1:]).reshape(-1) for f in fields]
+    src, spare = src.reshape(2, -1), spare.reshape(2, -1)
+    for k, fields, axis in gates:
+        if fields is None:
+            coef, ops = k * np.asarray(phase), (np.add, np.add)
+            phase = (1, 1)
+        else:
+            if (k[0, 1] * phase[1] * np.conj(k[0, 0] * phase[0])).imag:
+                np.multiply(src[1], 1j, out=src[1])
+                phase = (phase[0], -1j * phase[1])
+            psi = k[:, 0] * phase[0]
+            rho = k[:, 1] * phase[1] * np.conj(psi)
+            c, s = (np.broadcast_to(f, shape[1:]).reshape(-1) for f in fields)
+            coef, ops = ((c, s), (s, c)), tuple(np.add if r.real > 0 else np.subtract
+                                                for r in rho)
+            phase = tuple(psi)
         for row, pairs in enumerate(rolls[axis]):
             # the second component is not written yet while the first is
-            tmp = out[1] if row == 0 else scratch
+            tmp = spare[1] if row == 0 else scratch
+            a, b = coef[row]
             for dst, at in pairs:
-                o, t = out[row, dst], tmp[dst]
-                np.multiply(src[0, at], k[row, 0], out=o)
-                np.multiply(src[1, at], k[row, 1], out=t)
-                if fields is not None:
-                    o *= fields[row][at]
-                    t *= fields[1 - row][at]
-                o += t
-        src = out
-    return src.reshape(shape)
+                o, t = spare[row, dst], tmp[dst]
+                np.multiply(src[0, at], a if fields is None else a[at], out=o)
+                np.multiply(src[1, at], b if fields is None else b[at], out=t)
+                ops[row](o, t, out=o)
+        src, spare = spare, src
+    return src.reshape(shape), spare.reshape(shape), phase
+
+
+def _unphased(data: np.ndarray, phase) -> np.ndarray:
+    """diag(phase) data, in place; multiplying by +-1 or +-i is exact."""
+    for comp, p in enumerate(phase):
+        if p != 1:
+            data[comp] *= p
+    return data
+
+
+def _apply_fresh(data: np.ndarray, gates) -> np.ndarray:
+    """The gates applied to a copy of `data`, which is only read."""
+    src = data.copy()
+    out, _, phase = _apply(src, np.empty_like(src),
+                           np.empty(src[0].size, dtype=complex), gates)
+    return _unphased(out, phase)
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +470,14 @@ def _times(m, n) -> tuple:
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-def _factors(th: dict, te, params: WalkParams, k1, k2) -> list:
-    """The step's factors [A(k1), B(k2), C(k1)] (module docstring) at the
-    wavenumbers k1 and k2, scalars or 1-D arrays, as entry tuples."""
+def _factors(gates, k1, k2) -> list:
+    """The factors [A(k1), B(k2), C(k1)] (module docstring) of a step's
+    gate list of scalar gates, at the wavenumbers k1 and k2 (scalars or 1-D
+    arrays), as entry tuples."""
     phases = {0: (1.0, 1.0), 1: (np.exp(1j * k1), np.exp(-1j * k1)),
               2: (np.exp(1j * k2), np.exp(-1j * k2))}
     factors, axes = [], []
-    for k, _, axis in _fused(_step_gates(th, te, params)):
+    for k, _, axis in _fused(gates):
         p, q = phases[axis]
         gate = (p * k[0, 0], p * k[0, 1], q * k[1, 0], q * k[1, 1])
         if factors and axis in (0, axes[-1]):
@@ -379,42 +508,27 @@ def _check_axis(axis: int) -> None:
 def shift_apply(field: SpinorField, axis: int) -> SpinorField:
     """Spin-dependent translation S_k along lattice axis 1 or 2."""
     _check_axis(axis)
-    return SpinorField(_apply(field.data, [(np.eye(2), None, axis)]))
+    return SpinorField(_apply_fresh(field.data, [(np.eye(2), None, axis)]))
 
 
 def w_block_apply(field: SpinorField, axis: int, theta) -> SpinorField:
     """One double-jump block W_k(theta); theta is a scalar or (L1, L2) field."""
     _check_axis(axis)
-    return SpinorField(_apply(field.data, _fused(_w_gates(theta, axis))))
+    return SpinorField(_apply_fresh(field.data, _fused(_w_gates(_half(theta), axis))))
 
 
 # ---------------------------------------------------------------------------
 # mass-like time-difference scalar
 # ---------------------------------------------------------------------------
 
-def _cos_and_inverse(th: dict, j: int, site=None):
-    """Entries of the cosine matrix C and of its inverse from the angles at
-    time j; `site` names the site of single-site angles."""
-    c11, c12, c21, c22 = (np.cos(th[kl]) for kl in KL_PAIRS)
-    det = c11 * c22 - c12 * c21
-    bad = np.abs(det) < SINGULAR_DET_TOL
-    if np.any(bad):
-        if site is None:
-            # a space-uniform C is singular everywhere: name site (0, 0)
-            site = np.unravel_index(np.argmax(bad), np.shape(bad)) or (0, 0)
-        raise GeometryError(
-            f"cosine matrix singular (|det| < {SINGULAR_DET_TOL:g}) "
-            f"at time j={j}, site {tuple(int(p) for p in site)}")
-    return (c11, c12, c21, c22), (c22 / det, -c12 / det, -c21 / det, c11 / det)
+def _t_values(rec: _Slice, nxt: _Slice, params: WalkParams):
+    """T from the slices at times j and j+1, a scalar or an (L1, L2) array:
+    sum_k [ C^{k2} D0 (C^-1)^{1k} - C^{k1} D0 (C^-1)^{2k} ], C at time j."""
+    def term(kl, n):
+        return _cos(rec.half[kl]) * ((nxt.inv[n] - rec.inv[n]) / params.epsilon)
 
-
-def _t_epsilon_values(th: dict, th_next: dict, j: int, params: WalkParams, site=None):
-    """T from the angles at times j and j+1, scalars or (L1, L2) arrays."""
-    (c11, c12, c21, c22), inv = _cos_and_inverse(th, j, site)
-    _, inv_next = _cos_and_inverse(th_next, j + 1, site)
-    d11, d12, d21, d22 = ((b - a) / params.epsilon for a, b in zip(inv, inv_next))
-    # sum_k [ C^{k2} D0 (C^-1)^{1k} - C^{k1} D0 (C^-1)^{2k} ]
-    return c12 * d11 - c11 * d21 + c22 * d12 - c21 * d22
+    # one term at a time: the four cosines and differences are never all held
+    return term((1, 2), 0) - term((1, 1), 2) + term((2, 2), 1) - term((2, 1), 3)
 
 
 def t_epsilon(provider: AngleProvider, j: int, p1: int, p2: int,
@@ -425,15 +539,16 @@ def t_epsilon(provider: AngleProvider, j: int, p1: int, p2: int,
     independent of j.
     """
     site = (int(p1), int(p2))
-    th = [{kl: provider.angle(t, *site, kl) for kl in KL_PAIRS} for t in (j, j + 1)]
-    return float(_t_epsilon_values(*th, j, params, site))
+    rec, nxt = (_slice({kl: provider.angle(t, *site, kl) for kl in KL_PAIRS}, t, site)
+                for t in (j, j + 1))
+    return float(_t_values(rec, nxt, params))
 
 
 def t_epsilon_field(provider: AngleProvider, j: int, shape: tuple[int, int],
                     params: WalkParams):
     """T over the whole lattice; scalar for space-uniform providers."""
-    return _t_epsilon_values(provider.fields(j, shape), provider.fields(j + 1, shape),
-                             j, params)
+    return _t_values(_read_slice(provider, j, shape), _read_slice(provider, j + 1, shape),
+                     params)
 
 
 # ---------------------------------------------------------------------------
@@ -448,68 +563,80 @@ def step(field: SpinorField, j: int, provider: AngleProvider,
     the time difference in the mass gate).  Site-local gates always use
     the angle at the site where they act.
     """
-    th = provider.fields(j, field.shape)
-    te = t_epsilon_field(provider, j, field.shape, params)
-    return SpinorField(_apply(field.data, _fused(_step_gates(th, te, params))))
+    rec = _read_slice(provider, j, field.shape)
+    te = _t_values(rec, _read_slice(provider, j + 1, field.shape), params)
+    return SpinorField(_apply_fresh(field.data, _fused(_step_gates(rec.half, te, params))))
+
+
+class _Run(NamedTuple):
+    """What :func:`_time_loop` returns: the final field, the norm after each
+    step, the smallest |det C| over the slices read and the largest |T|
+    over the steps (0.0 for no steps)."""
+
+    field: SpinorField
+    norms: list
+    min_abs_det_c: float
+    max_abs_t_eps: float
 
 
 def _time_loop(field: SpinorField, j0: int, steps: int, provider: AngleProvider,
-               params: WalkParams) -> tuple[SpinorField, list[float]]:
-    """`steps` walk steps from time j0: the final field and the norm after
-    each step.  Space-uniform angles are stepped in Fourier space, where the
-    norms come from Parseval's identity; others call :func:`step`."""
+               params: WalkParams) -> _Run:
+    """`steps` walk steps from time j0, reading each of the slices j0 ..
+    j0 + steps once (module docstring).  Space-uniform angles are stepped in
+    Fourier space, where the norms come from Parseval's identity; others in
+    real space, through buffers allocated once."""
     if steps < 0:
         raise ConfigurationError(f"steps must be >= 0, got {steps}")
+    margins = []
+    gate_lists = _step_gate_lists(provider, j0, steps, field.shape, params, margins)
     if steps == 0 or not provider.uniform_in_space:
-        out, norms = field.copy(), []
-        for n in range(steps):
-            out = step(out, j0 + n, provider, params)
-            norms.append(out.norm())
-        return out, norms
+        src = field.data.copy()
+        spare, scratch = np.empty_like(src), np.empty(src[0].size, dtype=complex)
+        phase, norms = (1, 1), []
+        for gates in gate_lists:
+            src, spare, phase = _apply(src, spare, scratch, _fused(gates), phase)
+            norms.append(_norm(src))
+        return _Run(SpinorField(_unphased(src, phase)), norms, *margins)
     spec = field.data.copy()
     for axis in (1, 2):
         np.fft.fft(spec, axis=axis, norm="ortho", out=spec)
     # the second buffer and the scratch are freed when this call returns
-    spec, norms = _fourier_steps(spec, j0, steps, provider, params)
+    spec, norms = _fourier_steps(spec, gate_lists)
     for axis in (1, 2):
         np.fft.ifft(spec, axis=axis, norm="ortho", out=spec)
-    return SpinorField(spec), norms
+    return _Run(SpinorField(spec), norms, *margins)
 
 
-def _fourier_steps(spec: np.ndarray, j0: int, steps: int, provider: AngleProvider,
-                   params: WalkParams) -> tuple[np.ndarray, list[float]]:
+def _fourier_steps(spec: np.ndarray, gate_lists) -> tuple[np.ndarray, list[float]]:
     """Step the unitary Fourier transform `spec` of a field, which is
-    overwritten, through ping-pong buffers; see the module docstring.  The
-    norm after step j is taken after A_{j+1} C_j, which is unitary too."""
+    overwritten, through ping-pong buffers, one step per gate list in
+    `gate_lists` (at least one); see the module docstring.  The norm after
+    step j is taken after A_{j+1} C_j, which is unitary too."""
     shape = spec.shape[1:]
     k1, k2 = (2 * np.pi * np.arange(n) / n for n in shape)
-
-    def factors(j):
-        th = provider.fields(j, shape)
-        return _factors(th, t_epsilon_field(provider, j, shape, params), params, k1, k2)
-
     dst, scratch = np.empty_like(spec), np.empty(shape, dtype=complex)
-    a, b, c = factors(j0)
+    a, b, c = _factors(next(gate_lists), k1, k2)
     src, dst = _mode_apply(spec, a, 1, dst, scratch), spec
     norms = []
-    for j in range(j0, j0 + steps):
+    while True:
         src, dst = _mode_apply(src, b, 2, dst, scratch), src
+        gates = next(gate_lists, None)
         last = c
-        if j + 1 < j0 + steps:
-            a, b, c = factors(j + 1)
+        if gates is not None:
+            a, b, c = _factors(gates, k1, k2)
             last = _times(a, last)
         src, dst = _mode_apply(src, last, 1, dst, scratch), src
-        # einsum, not a BLAS dot: threaded OpenBLAS stalled on it in some runs
-        flat = src.view(np.float64).ravel()
-        norms.append(math.sqrt(np.einsum("i,i", flat, flat)))
-    return src, norms
+        norms.append(_norm(src))
+        if gates is None:
+            return src, norms
 
 
 def evolve(field: SpinorField, j0: int, steps: int, provider: AngleProvider,
            params: WalkParams) -> SpinorField:
-    """Compose `steps` walk steps starting at time j0; steps = 0 is the identity.
-    Space-uniform angles are stepped in Fourier space (module docstring)."""
-    return _time_loop(field, j0, steps, provider, params)[0]
+    """Compose `steps` walk steps starting at time j0; steps = 0 is the identity
+    (slice j0 is still read and checked).  Space-uniform angles are stepped
+    in Fourier space (module docstring)."""
+    return _time_loop(field, j0, steps, provider, params).field
 
 
 def plane_wave_transfer_matrix(provider: AngleProvider, j: int,
@@ -524,7 +651,7 @@ def plane_wave_transfer_matrix(provider: AngleProvider, j: int,
     if not provider.uniform_in_space:
         raise ConfigurationError(
             "plane-wave transfer matrix requires space-uniform angles")
-    th = provider.fields(j, (2, 2))
-    te = t_epsilon_field(provider, j, (2, 2), params)
-    a, b, c = _factors(th, te, params, k1, k2)
+    rec = _read_slice(provider, j, (2, 2))
+    te = _t_values(rec, _read_slice(provider, j + 1, (2, 2)), params)
+    a, b, c = _factors(_step_gates(rec.half, te, params), k1, k2)
     return np.reshape(_times(c, _times(b, a)), (2, 2))

@@ -1,8 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from gwalk import geometry, walk
 from gwalk.cli import main, parse_config, run
 from gwalk.csvio import read_csv, sha256_file
 from gwalk.errors import ConfigurationError
@@ -123,6 +125,30 @@ class TestRuns:
         assert len(rows) == 6
         for row in rows:
             assert row[1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_evolve_manifest_records_slice_margins(self, tmp_path):
+        payload = {"experiment": "evolve", "lattice": [8, 8], "steps": 6,
+                   "params": {"xi": 0.05, "m": 0.2, "epsilon": 0.5},
+                   "gw": {"F": {"kind": "sine", "amplitude": 1.0, "omega": 1.3},
+                          "G": {"kind": "sine", "amplitude": 0.7, "omega": 0.9},
+                          "K": 1.5, "K_prime": 1.5}}
+        cfg = parse_config(None, {**payload, "out_dir": str(tmp_path / "out")})
+        manifests = []
+        for _ in range(2):
+            assert run(cfg) == 0
+            manifests.append((tmp_path / "out" / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        metrics = json.loads(manifests[0])["metrics"]
+        provider = geometry.gw_angle_provider(cfg.gw, epsilon=cfg.params.epsilon)
+        dets = []
+        for j in range(cfg.steps + 1):
+            c11, c12, c21, c22 = np.cos(geometry.gw_angles(cfg.gw, j * cfg.params.epsilon))
+            dets.append(abs(c11 * c22 - c12 * c21))
+        t_eps = [abs(walk.t_epsilon_field(provider, j, cfg.lattice, cfg.params))
+                 for j in range(cfg.steps)]
+        assert metrics["min_abs_det_c"] == pytest.approx(min(dets), rel=1e-12)
+        assert metrics["max_abs_t_eps"] == pytest.approx(max(t_eps), rel=1e-12)
+        assert metrics["max_abs_t_eps"] > 0.0
 
     def test_gw_angles_table(self, tmp_path):
         payload = {"experiment": "gw-angles", "steps": 4,

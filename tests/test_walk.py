@@ -439,6 +439,30 @@ class TestGateListProperties:
         assert np.abs(step(f, 0, provider, params).data - expected.data).max() < 1e-12
 
 
+class TestRealGates:
+    # arbitrary chains leave the carried phase at other units than (1, 1),
+    # which the step's own chain never does
+    @given(st.lists(st.tuples(st.sampled_from(["Q", "R", "U", "R_INV"]),
+                              st.integers(0, 2), st.booleans()), min_size=1, max_size=6),
+           st.integers(0, 2 ** 32 - 1))
+    def test_real_gates_match_complex_gates(self, chain, seed):
+        rng = np.random.default_rng(seed)
+        shape = (4, 6)
+        data = SpinorField.random(shape, rng).data
+        gates, expected = [], data
+        for kind, axis, per_site in chain:
+            k = {"Q": walk._Q_K, "R": walk._R_K, "U": walk._U_K, "R_INV": walk._R_INV_K}[kind]
+            alpha = rng.uniform(-3, 3, shape) if per_site else rng.uniform(-3, 3)
+            gates.append(walk._gate(k, np.cos(alpha), np.sin(alpha), axis))
+            expected = _sitewise(expected, lambda a: k * np.array(
+                [[np.cos(a), np.sin(a)], [np.sin(a), np.cos(a)]]), alpha)
+            if axis:
+                expected = _oracle_shift(expected, axis)
+        out = walk._apply_fresh(data, iter(gates))
+        assert not np.shares_memory(out, data)
+        assert np.abs(out - expected).max() < 1e-13
+
+
 class TestFourierEvolve:
     # steps 0 and 1 are the edges of fusing C_j with A_{j+1}
     @given(walk_cases(uniform=True, sides=tuple(range(2, 17, 2)), times=10),
@@ -452,7 +476,7 @@ class TestFourierEvolve:
             expected_norms.append(expected.norm())
         out = evolve(f, j0, steps, provider, params)
         assert np.abs(out.data - expected.data).max() < 1e-12
-        _, norms = walk._time_loop(f, j0, steps, provider, params)
+        norms = walk._time_loop(f, j0, steps, provider, params).norms
         assert len(norms) == steps
         assert np.abs(np.subtract(norms, expected_norms)).max(initial=0.0) < 1e-12
 
@@ -555,3 +579,90 @@ class TestStepMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 8.25 * f.data.nbytes
+
+
+# ---------------------------------------------------------------------------
+# each time slice is read once
+# ---------------------------------------------------------------------------
+
+def counting_provider(rng, times, shape):
+    """A random history provider and the list of times its fn was asked for."""
+    inner = random_history_provider(rng, times=times, shape=shape)
+    calls = []
+
+    def fn(j):
+        calls.append(j)
+        return tuple(inner.fields(j, shape)[kl] for kl in walk.KL_PAIRS)
+
+    return AngleProvider(fn, uniform_in_space=inner.uniform_in_space), calls
+
+
+class TestSliceReads:
+    # (1, 1) stacks are space-uniform and step in Fourier space
+    @pytest.mark.parametrize("sites", [(1, 1), (6, 8)])
+    @pytest.mark.parametrize("steps", [0, 1, 2, 5])
+    def test_evolve_reads_each_slice_once(self, sites, steps):
+        rng = np.random.default_rng(31)
+        provider, calls = counting_provider(rng, 8, sites)
+        evolve(SpinorField.random((6, 8), rng), 1, steps, provider, WalkParams(mass=0.3))
+        assert calls == list(range(1, steps + 2))
+
+    @pytest.mark.parametrize("sites", [(1, 1), (6, 8)])
+    def test_step_reads_two_slices(self, sites):
+        rng = np.random.default_rng(32)
+        provider, calls = counting_provider(rng, 4, sites)
+        step(SpinorField.random((6, 8), rng), 2, provider, WalkParams(mass=0.3))
+        assert calls == [2, 3]
+
+    @given(walk_cases(times=6), st.integers(0, 1), st.integers(0, 4))
+    def test_evolve_matches_repeated_step(self, case, j0, steps):
+        provider, params, shape, rng = case
+        f = SpinorField.random(shape, rng)
+        expected = f
+        for j in range(j0, j0 + steps):
+            expected = step(expected, j, provider, params)
+        out = evolve(f, j0, steps, provider, params)
+        assert np.abs(out.data - expected.data).max() < 1e-13
+
+    @pytest.mark.parametrize("sites, site", [((1, 1), (0, 0)), ((6, 6), (4, 1))])
+    def test_singular_slice_ahead_names_its_time_and_site(self, sites, site):
+        # C turns singular at time 2, the slice ahead of step 1
+        rng = np.random.default_rng(33)
+        (a, b), (c, d) = RNG_ANGLE_RANGES
+        arrays = {(1, 1): rng.uniform(a, b, (4, *sites)), (2, 2): rng.uniform(a, b, (4, *sites)),
+                  (1, 2): rng.uniform(c, d, (4, *sites)), (2, 1): rng.uniform(c, d, (4, *sites))}
+        at = (2, *site) if sites != (1, 1) else (2, 0, 0)
+        for kl_a, kl_b in (((1, 1), (2, 1)), ((1, 2), (2, 2))):
+            arrays[kl_b][at] = arrays[kl_a][at]
+        provider = array_angles(arrays)
+        f = SpinorField.random((6, 6), rng)
+        message = rf"j=2, site \({site[0]}, {site[1]}\)"
+        evolve(f, 0, 1, provider, WalkParams())
+        with pytest.raises(GeometryError, match=message):
+            evolve(f, 0, 3, provider, WalkParams())
+        with pytest.raises(GeometryError, match=message):
+            step(f, 1, provider, WalkParams())
+
+
+class TestEvolveMemory:
+    def test_per_site_evolve_allocates_no_buffer_per_step(self):
+        # bound: measured 9.26 field sizes: the loop's copy, second buffer
+        # and half-size scratch (2.5), the current slice record (3: cos and
+        # sin of each theta/2, and C^-1) and the next one while it is built
+        # (3.5).  Stepping through a fresh copy per step, as `step` does,
+        # holds one field more; a per-step leak grows with the step count.
+        rng = np.random.default_rng(29)
+        provider = random_history_provider(rng, times=8, shape=(256, 256))
+        f = SpinorField.random((256, 256), rng)
+        params = WalkParams(epsilon=0.5, mass=0.3)
+        evolve(f, 0, 1, provider, params)
+        peaks = []
+        for steps in (2, 6):
+            tracemalloc.start()
+            try:
+                evolve(f, 0, steps, provider, params)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 0.01 * f.data.nbytes
+        assert peaks[1] <= 9.5 * f.data.nbytes
