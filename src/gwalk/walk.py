@@ -9,16 +9,27 @@ where W_k(th) = R^-1(th) U(th) S_k U(th) S_k R(th) is a pair of
 spin-dependent double jumps S_k dressed by local coin rotations, and T is
 the time-difference scalar built from the four cosine fields (see
 :func:`t_epsilon`).  The chain is written once, as a gate list that
-:func:`step` applies in real space.  Neighbouring scalar gates with no
-shift between them are fused (9 gates per step for space-uniform angles);
-per-site gates are applied one by one.
+:func:`step` applies in real space.  Where two W blocks meet, U(th), then
+R^-1(th), then R(th') is the single gate U((th + th')/2), and the last
+U(th), then R^-1(th), is one gate too (:func:`_w_chain`), so a step runs
+
+    Q, R(th11) S_1, U(th11) S_1, U((th11 + th21)/2) S_2, U(th21) S_2,
+    [R^-1 U](th21), Pi, R(th22) S_2, U(th22) S_2, U((th22 + th12)/2) S_1,
+    U(th12) S_1, [R^-1 U](th12), Pi^-1
+
+in order: 13 gates, 11 of them per-site.  Neighbouring scalar gates with
+no shift between them are fused further (9 gates per step for
+space-uniform angles).  The other shift-free runs, Q then R(th11) and
+the runs through Pi, do not fuse into one real gate: the diag(1, +-i)
+between their rotations leaves phases that vary from site to site.
 
 Each time slice of the angles is read once into a record: cos and sin of
 every theta/2, from which cos theta = (c - s)(c + s) and sin theta = 2cs
-follow, and the entries of C^-1, where |det C| is checked.  Step j needs
-the records of slices j and j+1 (the latter for T); :func:`evolve` carries
-the record of slice j+1 into step j+1, so each slice costs 8
-transcendentals once.
+follow, and the entries of C^-1, where |det C| is checked (a non-finite
+angle fails that check).  Cosines and sines come from one tangent each
+(:func:`_cos_sin`).  Step j needs the records of slices j and j+1 (the
+latter for T); :func:`evolve` carries the record of slice j+1 into step
+j+1, so each slice costs 4 tangents once.
 
 Every gate is K * [[c, s], [s, c]] entrywise with K's entries in
 {+-1, +-i}.  Per-site gates are applied as real gates: the field is held
@@ -66,14 +77,15 @@ SINGULAR_DET_TOL = 1e-10
 
 # Every coin gate is K * [[cos a, sin a], [sin a, cos a]] taken entrywise,
 # with a constant K and an angle a: a = th for U(th), th/2 for R(th) and
-# R^-1(th), and m for the mass gate Q(m) = exp(-i m sigma_x).  Q is a
-# rotation by m so that one step with argument eps*(m - T/4) contributes
+# for R^-1(th) U(th), and m for the mass gate Q(m) = exp(-i m sigma_x).  Q
+# is a rotation by m so that one step with argument eps*(m - T/4) contributes
 # exactly -i*eps*(m - T/4)*sigma_x at first order, which is what the
 # continuum Hamiltonian requires.
 _Q_K = np.array([[1.0, -1j], [-1j, 1.0]])
 _R_K = np.array([[1j, 1j], [-1.0, 1.0]])
 _U_K = np.array([[-1.0, 1j], [-1j, 1.0]])
-_R_INV_K = np.array([[-1j, -1.0], [-1j, 1.0]])
+# R^-1(th) U(th) = _UR_K * [[cos th/2, sin th/2], [sin th/2, cos th/2]]
+_UR_K = np.array([[1j, 1.0], [-1j, 1.0]])
 _COINS = {"U": (_U_K, 1.0), "R": (_R_K, 0.5), "Q": (_Q_K, 1.0)}
 
 
@@ -278,10 +290,27 @@ class _Slice(NamedTuple):
     min_abs_det: float
 
 
+def _cos_sin(x) -> tuple:
+    """cos x and sin x from one tangent, a scalar or an (L1, L2) field:
+    with t = tan(x/2) and u = 2/(1 + t^2), cos x = u - 1 and sin x = t u.
+    One tan costs less than a cos or a sin.  Scalars run the same float
+    operations as array elements, so a site's values do not depend on
+    which was given; arrays are worked on in place."""
+    t = np.tan(np.multiply(x, 0.5))
+    if np.ndim(t) == 0:
+        u = 2.0 / (1.0 + t * t)
+        return u - 1.0, t * u
+    u = np.multiply(t, t)
+    u += 1.0
+    np.divide(2.0, u, out=u)
+    t *= u
+    u -= 1.0
+    return u, t
+
+
 def _half(theta) -> tuple:
     """cos and sin of theta/2; theta is a scalar or an (L1, L2) field."""
-    h = np.asarray(theta) * 0.5
-    return np.cos(h), np.sin(h)
+    return _cos_sin(np.multiply(theta, 0.5))
 
 
 def _cos(half):
@@ -293,17 +322,19 @@ def _cos(half):
 def _slice(th: dict, j: int, site=None) -> _Slice:
     """The record of the angles `th` at time j; `site` names the site of
     single-site angles in the error raised where C is singular."""
-    half = {kl: _half(th[kl]) for kl in KL_PAIRS}
+    # a non-finite angle gives NaN half angles, which the check below names
+    with np.errstate(invalid="ignore"):
+        half = {kl: _half(th[kl]) for kl in KL_PAIRS}
     c11, c12, c21, c22 = (_cos(half[kl]) for kl in KL_PAIRS)
     det = c11 * c22 - c12 * c21
     min_abs_det = float(np.min(np.abs(det)))
-    if min_abs_det < SINGULAR_DET_TOL:
-        bad = np.abs(det) < SINGULAR_DET_TOL
+    if not min_abs_det >= SINGULAR_DET_TOL:
+        bad = ~(np.abs(det) >= SINGULAR_DET_TOL)
         if site is None:
             # a space-uniform C is singular everywhere: name site (0, 0)
             site = np.unravel_index(np.argmax(bad), np.shape(bad)) or (0, 0)
         raise GeometryError(
-            f"cosine matrix singular (|det| < {SINGULAR_DET_TOL:g}) "
+            f"cosine matrix singular (|det| < {SINGULAR_DET_TOL:g}) or non-finite "
             f"at time j={j}, site {tuple(int(p) for p in site)}")
     if np.ndim(det) == 0:
         return _Slice(half, (c22 / det, -c12 / det, -c21 / det, c11 / det), min_abs_det)
@@ -348,26 +379,33 @@ def _gate(k: np.ndarray, c, s, axis: int = 0) -> tuple:
     return k, (c, s), axis
 
 
-def _w_gates(half, axis: int):
-    """W_k(theta) = R^-1(th) U(th) S_k U(th) S_k R(th), first gate first;
-    `half` is (cos, sin) of theta/2, so sin theta = 2cs."""
-    u = _gate(_U_K, _cos(half), 2.0 * half[0] * half[1])
-    yield _gate(_R_K, *half, axis)
-    yield u[:2] + (axis,)
-    yield u
-    yield _gate(_R_INV_K, *half)
+def _w_chain(*blocks):
+    """The gates of W blocks given as (half, axis), first block first, where
+    W_k(th) = R^-1(th) U(th) S_k U(th) S_k R(th) and `half` is (c, s) =
+    (cos, sin) of th/2.  Each seam is fused into one gate: U(th), then
+    R^-1(th), then R(th') is U((th + th')/2), whose cos and sin follow from
+    the two half angles by angle addition; the last U(th), then R^-1(th), is
+    _UR_K * [[c, s], [s, c]]."""
+    prev = None
+    for half, axis in blocks:
+        c, s = half
+        if prev is None:
+            yield _gate(_R_K, c, s, axis)
+        else:
+            pc, ps = prev
+            yield _gate(_U_K, pc * c - ps * s, ps * c + pc * s, axis)
+        yield _gate(_U_K, _cos(half), 2.0 * c * s, axis)
+        prev = half
+    yield _gate(_UR_K, *prev)
 
 
 def _step_gates(half: dict, te, params: WalkParams):
     """The gates of V_j in the order they act, Q first (module docstring);
     `half` is the half-angle dict of a :class:`_Slice`."""
-    m_arg = params.epsilon * (params.mass - te / 4.0)
-    yield _gate(_Q_K, np.cos(m_arg), np.sin(m_arg))
-    yield from _w_gates(half[(1, 1)], 1)
-    yield from _w_gates(half[(2, 1)], 2)
+    yield _gate(_Q_K, *_cos_sin(params.epsilon * (params.mass - te / 4.0)))
+    yield from _w_chain((half[(1, 1)], 1), (half[(2, 1)], 2))
     yield PI_MATRIX, None, 0
-    yield from _w_gates(half[(2, 2)], 2)
-    yield from _w_gates(half[(1, 2)], 1)
+    yield from _w_chain((half[(2, 2)], 2), (half[(1, 2)], 1))
     yield PI_INV_MATRIX, None, 0
 
 
@@ -439,6 +477,8 @@ def _apply(src: np.ndarray, spare: np.ndarray, scratch: np.ndarray, gates,
                 np.multiply(src[1, at], b if fields is None else b[at], out=t)
                 ops[row](o, t, out=o)
         src, spare = spare, src
+        # drop this gate's fields before the lazy list builds the next gate
+        k = fields = coef = c = s = a = b = None
     return src.reshape(shape), spare.reshape(shape), phase
 
 
@@ -514,7 +554,7 @@ def shift_apply(field: SpinorField, axis: int) -> SpinorField:
 def w_block_apply(field: SpinorField, axis: int, theta) -> SpinorField:
     """One double-jump block W_k(theta); theta is a scalar or (L1, L2) field."""
     _check_axis(axis)
-    return SpinorField(_apply_fresh(field.data, _fused(_w_gates(_half(theta), axis))))
+    return SpinorField(_apply_fresh(field.data, _fused(_w_chain((_half(theta), axis)))))
 
 
 # ---------------------------------------------------------------------------

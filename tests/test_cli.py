@@ -257,6 +257,17 @@ class TestMainExitCodes:
         assert sorted(p.name for p in out.iterdir()) == ["rho_maxima.csv"]
         assert (out / "rho_maxima.csv").read_bytes() == earlier
 
+    def test_non_finite_wave_is_3_naming_time_and_site(self, tmp_path, capsys):
+        # a NaN frequency makes every angle NaN from the first slice on
+        payload = {"experiment": "evolve", "lattice": [8, 8], "steps": 4,
+                   "params": {"xi": 0.03, "m": 0.1},
+                   "gw": {"F": {"kind": "sine", "amplitude": 1.0, "omega": math.nan},
+                          "K": 1.0},
+                   "out_dir": str(tmp_path / "out")}
+        assert main(["--config", write_config(tmp_path, payload)]) == 3
+        assert "j=0, site (0, 0)" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_env_var_default_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GWALK_OUT", str(tmp_path / "envout"))
         code = main(["--experiment", "rho-max", "--resolution", "256"])

@@ -442,7 +442,7 @@ class TestGateListProperties:
 class TestRealGates:
     # arbitrary chains leave the carried phase at other units than (1, 1),
     # which the step's own chain never does
-    @given(st.lists(st.tuples(st.sampled_from(["Q", "R", "U", "R_INV"]),
+    @given(st.lists(st.tuples(st.sampled_from(["Q", "R", "U", "R_INV", "UR"]),
                               st.integers(0, 2), st.booleans()), min_size=1, max_size=6),
            st.integers(0, 2 ** 32 - 1))
     def test_real_gates_match_complex_gates(self, chain, seed):
@@ -451,7 +451,8 @@ class TestRealGates:
         data = SpinorField.random(shape, rng).data
         gates, expected = [], data
         for kind, axis, per_site in chain:
-            k = {"Q": walk._Q_K, "R": walk._R_K, "U": walk._U_K, "R_INV": walk._R_INV_K}[kind]
+            k = {"Q": walk._Q_K, "R": walk._R_K, "U": walk._U_K, "R_INV": walk._R_K.conj().T,
+                 "UR": walk._UR_K}[kind]
             alpha = rng.uniform(-3, 3, shape) if per_site else rng.uniform(-3, 3)
             gates.append(walk._gate(k, np.cos(alpha), np.sin(alpha), axis))
             expected = _sitewise(expected, lambda a: k * np.array(
@@ -461,6 +462,85 @@ class TestRealGates:
         out = walk._apply_fresh(data, iter(gates))
         assert not np.shares_memory(out, data)
         assert np.abs(out - expected).max() < 1e-13
+
+
+class TestFusedSeams:
+    # [-4 pi, 4 pi] runs past the period of tan(theta/4), through which the
+    # half angles are computed
+    angles = st.floats(-4 * np.pi, 4 * np.pi)
+
+    @given(angles, angles, st.integers(1, 2), st.integers(1, 2))
+    def test_chain_matches_dense_coin_products(self, th, th2, axis, axis2):
+        gates = list(walk._w_chain((walk._half(th), axis), (walk._half(th2), axis2)))
+        r, u = coin_matrix("R", th), coin_matrix("U", th)
+        r2, u2 = coin_matrix("R", th2), coin_matrix("U", th2)
+        # the seams: U(th), R^-1(th), R(th') and U(th'), R^-1(th')
+        expected = [r, u, r2 @ r.conj().T @ u, u2, r2.conj().T @ u2]
+        assert [g[2] for g in gates] == [axis, axis, axis2, axis2, 0]
+        for (k, fields, _), m in zip(gates, expected, strict=True):
+            assert fields is None
+            assert np.abs(k - m).max() < 1e-15
+
+    @given(angles, st.integers(1, 2))
+    def test_single_block_is_three_gates(self, th, axis):
+        gates = list(walk._w_chain((walk._half(th), axis)))
+        r, u = coin_matrix("R", th), coin_matrix("U", th)
+        assert [g[2] for g in gates] == [axis, axis, 0]
+        for (k, _, _), m in zip(gates, [r, u, r.conj().T @ u], strict=True):
+            assert np.abs(k - m).max() < 1e-15
+
+    def test_step_gate_counts(self):
+        rng = np.random.default_rng(34)
+        params = WalkParams(epsilon=0.7, mass=0.3)
+        for sites, total, per_site in (((6, 8), 13, 11), ((1, 1), 9, 0)):
+            provider = random_history_provider(rng, times=2, shape=sites)
+            rec = walk._read_slice(provider, 0, (6, 8))
+            te = walk._t_values(rec, walk._read_slice(provider, 1, (6, 8)), params)
+            gates = list(walk._fused(walk._step_gates(rec.half, te, params)))
+            assert len(gates) == total
+            assert sum(fields is not None for _, fields, _ in gates) == per_site
+
+
+class TestCosSin:
+    @given(hnp.arrays(float, st.integers(1, 32), elements=st.floats(-1e4, 1e4)),
+           st.integers(-2000, 2000))
+    def test_matches_numpy_cos_and_sin(self, x, n):
+        x = np.append(x, (2 * n + 1) * np.pi)
+        c, s = walk._cos_sin(x)
+        assert np.abs(c - np.cos(x)).max() <= 4.5e-16
+        assert np.abs(s - np.sin(x)).max() <= 4.5e-16
+        # a scalar runs the same operations as its array element, bit for bit
+        for v in (x, x.tolist()):
+            scalars = np.array([walk._cos_sin(e) for e in v]).T
+            assert scalars.tobytes() == np.stack((c, s)).tobytes()
+
+    def test_exact_at_pi(self):
+        for x in (np.pi, -np.pi):
+            c, s = walk._cos_sin(x)
+            assert c == -1.0 and s == np.sin(x)
+
+
+class TestNonFiniteAngles:
+    # a NaN |det C| compares false with the threshold either way round: it
+    # must fail the check, not pass it and poison the field
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("sites, site", [((1, 1), (0, 0)), ((6, 6), (4, 1))])
+    def test_non_finite_angle_names_its_time_and_site(self, bad, sites, site):
+        rng = np.random.default_rng(35)
+        (a, b), (c, d) = RNG_ANGLE_RANGES
+        arrays = {(1, 1): rng.uniform(a, b, (4, *sites)), (2, 2): rng.uniform(a, b, (4, *sites)),
+                  (1, 2): rng.uniform(c, d, (4, *sites)), (2, 1): rng.uniform(c, d, (4, *sites))}
+        arrays[(2, 1)][(2, *site) if sites != (1, 1) else (2, 0, 0)] = bad
+        provider = array_angles(arrays)
+        f = SpinorField.random((6, 6), rng)
+        message = rf"j=2, site \({site[0]}, {site[1]}\)"
+        evolve(f, 0, 1, provider, WalkParams())
+        with pytest.raises(GeometryError, match=message):
+            evolve(f, 0, 3, provider, WalkParams())
+        with pytest.raises(GeometryError, match=message):
+            step(f, 1, provider, WalkParams())
+        with pytest.raises(GeometryError, match=message):
+            t_epsilon(provider, 1, *site, WalkParams())
 
 
 class TestFourierEvolve:
