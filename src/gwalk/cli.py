@@ -63,12 +63,20 @@ def _reject_unknown(mapping: dict, allowed: set, context: str) -> None:
             raise ConfigurationError(f"unknown key {key!r} in {context}")
 
 
+def _as_finite(value, name: str) -> float:
+    """``value`` as a float; anything but a finite number is a config error."""
+    number = float(value) if isinstance(value, (int, float)) else math.nan
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+    return number
+
+
 def _waveform(spec, context: str):
     """Turn a waveform spec into a callable of time."""
     if spec is None:
         return lambda t: 0.0
     if isinstance(spec, (int, float)):
-        amp = float(spec)
+        amp = _as_finite(spec, context)
         return lambda t: amp
     if not isinstance(spec, dict):
         raise ConfigurationError(f"{context} must be a number or an object")
@@ -77,10 +85,10 @@ def _waveform(spec, context: str):
         raise ConfigurationError(
             f"unknown waveform kind {kind!r} in {context}; use 'constant' or 'sine'")
     _reject_unknown(spec, _WAVEFORM_KEYS[kind], context)
-    amp = float(spec.get("amplitude", 0.0))
+    amp = _as_finite(spec.get("amplitude", 0.0), f"{context}.amplitude")
     if kind == "constant":
         return lambda t: amp
-    omega = float(spec.get("omega", 0.0))
+    omega = _as_finite(spec.get("omega", 0.0), f"{context}.omega")
     return lambda t: amp * math.sin(omega * t)
 
 
@@ -131,9 +139,10 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
 
     pars = dict(raw.get("params", {}))
     _reject_unknown(pars, _PARAM_KEYS, "params")
-    params = walk.WalkParams(epsilon=float(pars.get("epsilon", 1.0)),
-                             mass=float(pars.get("m", 0.0)),
-                             xi=float(pars.get("xi", 1e-4)))
+    params = walk.WalkParams(
+        epsilon=_as_finite(pars.get("epsilon", 1.0), "params.epsilon"),
+        mass=_as_finite(pars.get("m", 0.0), "params.m"),
+        xi=_as_finite(pars.get("xi", 1e-4), "params.xi"))
 
     gw_spec = dict(raw.get("gw", {}))
     _reject_unknown(gw_spec, _GW_KEYS, "gw")
@@ -141,8 +150,8 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
         xi=params.xi,
         f=_waveform(gw_spec.get("F"), "gw.F"),
         g=_waveform(gw_spec.get("G", {"kind": "constant", "amplitude": 1.0}), "gw.G"),
-        k=float(gw_spec.get("K", 0.0)),
-        k_prime=float(gw_spec.get("K_prime", 0.0)))
+        k=_as_finite(gw_spec.get("K", 0.0), "gw.K"),
+        k_prime=_as_finite(gw_spec.get("K_prime", 0.0), "gw.K_prime"))
 
     resolution = _as_positive_int(raw.get("resolution", 512), "resolution", 2)
     # accepted and recorded so existing configs keep running; it has no effect
@@ -153,17 +162,18 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
 
     q = raw.get("q")
     if q is not None:
-        q = float(q)
-        if not (q > 0 and np.isfinite(q)):
-            raise ConfigurationError(f"q must be positive and finite, got {q!r}")
+        q = _as_finite(q, "q")
+        if not q > 0:
+            raise ConfigurationError(f"q must be positive, got {q!r}")
 
-    epsilons = tuple(float(e) for e in raw.get("epsilons", _DEFAULT_EPSILONS))
+    epsilons = tuple(_as_finite(e, "epsilons")
+                     for e in raw.get("epsilons", _DEFAULT_EPSILONS))
     if not epsilons or any(e <= 0 for e in epsilons):
         raise ConfigurationError(f"epsilons must be positive, got {epsilons!r}")
 
     q_list = raw.get("q_list")
     if q_list is not None:
-        q_list = tuple(float(v) for v in q_list)
+        q_list = tuple(_as_finite(v, "q_list") for v in q_list)
         if any(not 0.0 < v < math.pi for v in q_list):
             raise ConfigurationError("q_list entries must lie in (0, pi)")
 
@@ -284,6 +294,7 @@ def _run_continuum_check(cfg: RunConfig, out: Path, artifacts: list, metrics: di
     for case in ("flat", "shear", "massive"):
         provider, mass, scale_mode = _continuum_case(case, cfg)
         rows = []
+        bandlimit = 0.0
         for eps in eps_list:
             n = round(eps / eps_min) if scale_mode else 0
             if scale_mode and abs(n - eps / eps_min) > 1e-9:
@@ -293,11 +304,13 @@ def _run_continuum_check(cfg: RunConfig, out: Path, artifacts: list, metrics: di
             k = 2 * np.pi * n / length
             f = walk.SpinorField.plane_wave((length, length), k, k, pol)
             params = walk.WalkParams(epsilon=eps, mass=mass, xi=cfg.params.xi)
+            bandlimit = max(bandlimit, continuum.bandlimit_fraction(f))
             rows.append((eps, continuum.continuum_residual(provider, params, f, 0)))
         path = out / f"continuum_{case}.csv"
         artifacts.append((path, write_csv(path, ["epsilon", "residual"], rows)))
         logs = np.log([r[0] for r in rows]), np.log([r[1] for r in rows])
         metrics[f"order_{case}"] = float(np.polyfit(logs[0], logs[1], 1)[0])
+        metrics[f"bandlimit_{case}"] = bandlimit
 
 
 def _run_evolve(cfg: RunConfig, out: Path, artifacts: list, metrics: dict):

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import csvio
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ConsistencyError
 from .walk import SpinorField, WalkParams, plane_wave_transfer_matrix, pure_shear_angles
 
 TWO_PI = 2.0 * np.pi
@@ -56,30 +56,27 @@ def mode_w0(qx, qy) -> np.ndarray:
 
 
 def _amplitude_parts(qx, qy) -> tuple:
-    """Real and imaginary parts of Abar and Bbar, in that order."""
+    """Real and imaginary parts of Abar and Bbar, in that order; cos and sin
+    of qX +- qY come by angle addition, so on broadcast axes (``ax[:, None]``,
+    ``ax[None, :]``) only the axes take transcendentals."""
     qx = np.asarray(qx, float)
     qy = np.asarray(qy, float)
-    cy, sy = np.cos(qy), np.sin(qy)
-    a_re = -np.cos(qx - qy) + cy - sy + 2.0 * sy * cy
-    a_im = -np.cos(qx + qy) + cy + sy
-    b_re = np.sin(qx + qy) - sy + cy - (cy - sy) * (cy + sy)
-    b_im = np.sin(qx - qy) + sy + cy - 1.0
+    cx, sx, cy, sy = np.cos(qx), np.sin(qx), np.cos(qy), np.sin(qy)
+    cxcy, sxsy, sxcy, cxsy = cx * cy, sx * sy, sx * cy, cx * sy
+    a_re = -(cxcy + sxsy) + cy - sy + 2.0 * sy * cy
+    a_im = -(cxcy - sxsy) + cy + sy
+    b_re = (sxcy + cxsy) - sy + cy - (cy - sy) * (cy + sy)
+    b_im = (sxcy - cxsy) + sy + cy - 1.0
     return a_re, a_im, b_re, b_im
-
-
-def amplitude_pair_bar(qx, qy) -> tuple[np.ndarray, np.ndarray]:
-    """Unscaled complex amplitudes (Abar, Bbar) of the first-order operator."""
-    a_re, a_im, b_re, b_im = _amplitude_parts(qx, qy)
-    return a_re + 1j * a_im, b_re + 1j * b_im
 
 
 def mode_w1(qx, qy) -> np.ndarray:
     """First-order (in xi*g) mode operator, from the closed-form amplitudes."""
     qx, qy = np.broadcast_arrays(np.asarray(qx, float), np.asarray(qy, float))
-    abar, bbar = amplitude_pair_bar(qx, qy)
-    # exp(+-i pi/4) / sqrt(2) = (1 +- i) / 2
-    a = (0.5 + 0.5j) * abar
-    b = (0.5 - 0.5j) * bbar
+    a_re, a_im, b_re, b_im = _amplitude_parts(qx, qy)
+    # Abar, Bbar times exp(+-i pi/4) / sqrt(2) = (1 +- i) / 2
+    a = (0.5 + 0.5j) * (a_re + 1j * a_im)
+    b = (0.5 - 0.5j) * (b_re + 1j * b_im)
     ex = np.exp(1j * qx)
     out = np.empty(qx.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = ex * a
@@ -209,98 +206,85 @@ def _eigvec(a, b, c, d, lam) -> np.ndarray:
 # landscape searches
 # ---------------------------------------------------------------------------
 
-def _coordinate_descent(fn: Callable, x: float, y: float, step: float,
-                        min_step: float, maximize: bool = True):
-    """Derivative-free local search with shrinking axis-aligned steps."""
-    sign = 1.0 if maximize else -1.0
-    best = sign * float(fn(x, y))
-    while step > min_step:
-        moved = False
-        for dx, dy in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-            cand = sign * float(fn(x + dx, y + dy))
-            if cand > best:
-                x, y, best = x + dx, y + dy, cand
-                moved = True
-        if not moved:
-            step /= 2.0
-    return x, y, sign * best
+# _amplitude_parts' four parts p as sum_j COS[p, j] cos(k_j . q) + SIN[p, j]
+# sin(k_j . q) over the frequencies k_j = _FREQS[j]; for example
+# a_re = -cos(qX - qY) + cos qY - sin qY + sin 2qY
+_FREQS = np.array([[1, -1], [1, 1], [0, 1], [0, 2], [0, 0]], dtype=float)
+_COS = np.array([[-1, 0, 1, 0, 0], [0, -1, 1, 0, 0],
+                 [0, 0, 1, -1, 0], [0, 0, 1, 0, -1]], dtype=float)
+_SIN = np.array([[0, 0, -1, 1, 0], [0, 0, 1, 0, 0],
+                 [0, 1, -1, 0, 0], [1, 0, 1, 0, 0]], dtype=float)
+
+#: Newton steps allowed to refine a scanned maximum; from a grid point it
+#: takes four to reach a step below 1e-12
+_NEWTON_STEPS = 20
 
 
-def _wrap_zone(q: float) -> float:
-    """Map into [-2pi, 2pi) by the 4pi periodicity of the zone."""
-    return (q + TWO_PI) % (2 * TWO_PI) - TWO_PI
+def _rho2_derivatives(qx: float, qy: float) -> tuple:
+    """rho^2 at one point, with its analytic gradient (2,) and Hessian (2, 2)."""
+    theta = _FREQS @ np.array([qx, qy], dtype=float)
+    c, s = np.cos(theta), np.sin(theta)
+    terms = _COS * c + _SIN * s                      # (part, frequency)
+    parts = terms.sum(axis=1)
+    d_parts = (_SIN * c - _COS * s) @ _FREQS         # (part, axis)
+    d2_parts = -np.einsum("pj,ja,jb->pab", terms, _FREQS, _FREQS)
+    grad = 2.0 * parts @ d_parts
+    hess = 2.0 * (d_parts.T @ d_parts + np.einsum("p,pab->ab", parts, d2_parts))
+    return float(parts @ parts), grad, hess
+
+
+def _newton_maximum(qx: float, qy: float) -> tuple[float, float]:
+    """Refine a local maximum of rho by Newton steps on rho^2."""
+    q = np.array([qx, qy], dtype=float)
+    for _ in range(_NEWTON_STEPS):
+        _, grad, hess = _rho2_derivatives(*q)
+        if not (hess[0, 0] < 0.0 and hess[0, 0] * hess[1, 1] > hess[0, 1] ** 2):
+            raise ConsistencyError(f"rho^2 Hessian not negative definite at {q.tolist()}")
+        step = np.linalg.solve(hess, grad)
+        q -= step
+        if np.abs(step).max() < 1e-12:
+            return float(q[0]), float(q[1])
+    raise ConsistencyError(f"rho maximum: Newton did not converge in {_NEWTON_STEPS} steps")
 
 
 def find_rho_maxima(resolution: int = 1024) -> list[tuple[ModePoint, float]]:
     """The four equal absolute maxima of rho over the zone, sorted by (qX, qY).
 
-    A coarse resolution^2 scan, then refinement down to a 1e-8 step: the
-    coordinates hold only to about 1e-8 (acceptance tolerance 1e-3), so past
-    that their 17 printed digits follow last-digit roundoff in rho.
+    rho is 2pi-periodic in each axis, so the maxima are one point and its
+    2pi-translates.  The cell [-2pi, 0)^2 is scanned on the zone grid's
+    points (step 4pi / resolution), and its argmax is refined by Newton steps
+    on the analytic gradient and Hessian of rho^2; a Hessian that is not
+    negative definite, or no convergence, raises :class:`ConsistencyError`.
     """
     if resolution < 256:
         raise ConfigurationError("resolution must be at least 256")
-    ax = -TWO_PI + 2 * TWO_PI * np.arange(resolution) / resolution
-    qx, qy = np.meshgrid(ax, ax, indexing="ij")
-    values = rho(qx, qy)
-    peak = values.max()
-    local = np.ones_like(values, dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            local &= values >= np.roll(np.roll(values, di, 0), dj, 1)
-    cands = np.argwhere(local & (values > 0.99 * peak))
-
-    h = 2 * TWO_PI / resolution
-    found: list[tuple[float, float, float]] = []
-    for i, j in cands:
-        x, y, v = _coordinate_descent(rho, ax[i], ax[j], h, 1e-8)
-        x, y = _wrap_zone(x), _wrap_zone(y)
-        if all((x - fx) ** 2 + (y - fy) ** 2 > 1e-8 for fx, fy, _ in found):
-            found.append((x, y, v))
-    found.sort(key=lambda t: -t[2])
-    # lexicographic order on coordinates, insensitive to refinement jitter
-    top = sorted(found[:4], key=lambda t: (round(t[0], 6), round(t[1], 6)))
-    return [(ModePoint(x, y), v) for x, y, v in top]
+    cell = -TWO_PI + 2 * TWO_PI * np.arange((resolution + 1) // 2) / resolution
+    values = rho(cell[:, None], cell[None, :])
+    i, j = np.unravel_index(int(np.argmax(values)), values.shape)
+    # the translates of the refined point in [0, 2pi)^2 and in the zone
+    x, y = (v % TWO_PI for v in _newton_maximum(cell[i], cell[j]))
+    qx, qy = np.array([x - TWO_PI] * 2 + [x] * 2), np.array([y - TWO_PI, y] * 2)
+    return [(ModePoint(float(a), float(b)), float(v))
+            for a, b, v in zip(qx, qy, rho(qx, qy))]
 
 
-def unaffected_modes(tolerance: float = 1e-6,
-                     resolution: int = 512) -> list[ModePoint]:
-    """All points of the zone where both first-order amplitudes vanish.
+def unaffected_modes(tolerance: float = 1e-6) -> list[ModePoint]:
+    """The points of the closed zone [-2pi, 2pi]^2 where both first-order
+    amplitudes vanish, sorted by (qX, qY).
 
-    The scan covers the closed square [-2pi, 2pi]^2, so zeros sitting on
-    opposite edges are reported separately; that matches the enumeration
-    of thirteen unaffected modes.
+    There are thirteen, and they are exact: the nine points 2pi(m, n) and
+    the four (-pi/2, pi/2) + 2pi(m, n) with m in {0, 1}, n in {-1, 0}.
+    Zeros on opposite edges of the zone are listed separately.  A point is
+    returned only where rho is below ``tolerance``.
     """
     if tolerance <= 0:
         raise ConfigurationError("tolerance must be positive")
-    ax = np.linspace(-TWO_PI, TWO_PI, resolution + 1)
-    qx, qy = np.meshgrid(ax, ax, indexing="ij")
-    values = rho(qx, qy)
-    padded = np.pad(values, 1, constant_values=np.inf)
-    local = np.ones_like(values, dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            local &= values <= padded[1 + di:values.shape[0] + 1 + di,
-                                      1 + dj:values.shape[1] + 1 + dj]
-    cands = np.argwhere(local & (values < 0.5))
-
-    h = 2 * TWO_PI / resolution
-    zeros: list[tuple[float, float]] = []
-    for i, j in cands:
-        x, y, v = _coordinate_descent(rho, ax[i], ax[j], h, 1e-10,
-                                      maximize=False)
-        if v >= tolerance:
-            continue
-        x = min(max(x, -TWO_PI), TWO_PI)
-        y = min(max(y, -TWO_PI), TWO_PI)
-        if all((x - zx) ** 2 + (y - zy) ** 2 > 1e-8 for zx, zy in zeros):
-            zeros.append((x, y))
-    zeros.sort(key=lambda t: (round(t[0], 6), round(t[1], 6)))
-    return [ModePoint(x, y) for x, y in zeros]
+    halves = [(4 * m, 4 * n) for m in (-1, 0, 1) for n in (-1, 0, 1)]
+    halves += [(4 * m - 1, 4 * n + 1) for m in (0, 1) for n in (-1, 0)]
+    qx, qy = (np.pi / 2 * np.array(halves, dtype=float)).T
+    keep = rho(qx, qy) < tolerance
+    return sorted(ModePoint(float(x), float(y))
+                  for x, y in zip(qx[keep], qy[keep]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gwalk import geometry, walk
+from gwalk import continuum, geometry, walk
 from gwalk.cli import main, parse_config, run
 from gwalk.csvio import read_csv, sha256_file
 from gwalk.errors import ConfigurationError
@@ -100,6 +100,28 @@ class TestRuns:
         header, rows = read_csv(tmp_path / "out" / "continuum_flat.csv")
         assert header == ["epsilon", "residual"]
         assert len(rows) == 3
+
+    def test_continuum_check_records_bandlimit_margins(self, tmp_path):
+        payload = {"experiment": "continuum-check", "lattice": [32, 32],
+                   "epsilons": [0.2, 0.1, 0.05], "params": {"m": 0.4},
+                   "out_dir": str(tmp_path / "out")}
+        manifests = []
+        for _ in range(2):
+            assert run(parse_config(None, payload)) == 0
+            manifests.append((tmp_path / "out" / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        metrics = json.loads(manifests[0])["metrics"]
+        pol = np.array([0.6 + 0.2j, -0.3 + 0.7j])
+        pol /= np.linalg.norm(pol)
+        # flat and shear put the wave on modes n = 4, 2, 1; massive on n = 0
+        for case, modes in (("flat", (4, 2, 1)), ("shear", (4, 2, 1)),
+                            ("massive", (0,))):
+            fields = [walk.SpinorField.plane_wave((32, 32), 2 * np.pi * n / 32,
+                                                  2 * np.pi * n / 32, pol)
+                      for n in modes]
+            expected = max(continuum.bandlimit_fraction(f) for f in fields)
+            assert metrics[f"bandlimit_{case}"] == expected
+            assert 0.0 <= metrics[f"bandlimit_{case}"] < 1e-8
 
     def test_interference_artifacts(self, tmp_path):
         cfg = parse_config(None, {"experiment": "interference",
@@ -258,15 +280,39 @@ class TestMainExitCodes:
         assert (out / "rho_maxima.csv").read_bytes() == earlier
 
     def test_non_finite_wave_is_3_naming_time_and_site(self, tmp_path, capsys):
-        # a NaN frequency makes every angle NaN from the first slice on
+        # every config number is finite, but K - F overflows to +inf, so
+        # theta11 is infinite from the first slice on
         payload = {"experiment": "evolve", "lattice": [8, 8], "steps": 4,
                    "params": {"xi": 0.03, "m": 0.1},
-                   "gw": {"F": {"kind": "sine", "amplitude": 1.0, "omega": math.nan},
-                          "K": 1.0},
+                   "gw": {"F": -1e308, "K": 1e308, "K_prime": 1e308},
                    "out_dir": str(tmp_path / "out")}
         assert main(["--config", write_config(tmp_path, payload)]) == 3
         assert "j=0, site (0, 0)" in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("key", [
+        ("params", "epsilon"), ("params", "m"), ("params", "xi"),
+        ("gw", "F"), ("gw", "G", "amplitude"), ("gw", "G", "omega"),
+        ("gw", "K"), ("gw", "K_prime"), ("q",), ("epsilons", 1), ("q_list", 1)],
+        ids=lambda key: ".".join(map(str, key)))
+    def test_non_finite_config_number_is_2(self, tmp_path, capsys, key, value):
+        payload = {"experiment": "gw-angles", "steps": 3,
+                   "params": {"xi": 1e-3, "epsilon": 0.5, "m": 0.1},
+                   "gw": {"F": 0.5, "G": {"kind": "sine", "amplitude": 1.0,
+                                          "omega": 0.3},
+                          "K": 1.0, "K_prime": 1.0},
+                   "q": 1.0, "epsilons": [0.2, 0.1], "q_list": [1.0, 2.0],
+                   "out_dir": str(tmp_path / "out")}
+        target = payload
+        for part in key[:-1]:
+            target = target[part]
+        target[key[-1]] = value
+        # json writes the non-finite floats as NaN, Infinity and -Infinity
+        assert main(["--config", write_config(tmp_path, payload)]) == 2
+        assert "must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_env_var_default_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GWALK_OUT", str(tmp_path / "envout"))

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from gwalk.errors import ConfigurationError
+from gwalk import spectral
+from gwalk.errors import ConfigurationError, ConsistencyError
 from gwalk.spectral import (SpectrumGrid, dft_field, eigen,
                             find_rho_maxima, idft_field, large_scale_operator,
                             mode_operator, mode_w0, mode_w1, perturbative_eigs,
@@ -17,6 +20,91 @@ FIRST_ZERO_SET = [(TWO_PI * rx, TWO_PI * ry)
                   for rx in (-1, 0, 1) for ry in (-1, 0, 1)]
 SECOND_ZERO_SET = [(-math.pi / 2 + TWO_PI * sx, math.pi / 2 + TWO_PI * sy)
                    for sx, sy in ((0, 0), (0, -1), (1, 0), (1, -1))]
+
+zone_coords = st.floats(-TWO_PI, TWO_PI, allow_nan=False)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the landscape written out term by term, and numeric searches over
+# the whole zone that know nothing of its period or of the closed forms
+# ---------------------------------------------------------------------------
+
+def direct_rho(qx, qy):
+    """rho with cos(qX +- qY) and sin(qX +- qY) taken directly."""
+    cy, sy = np.cos(qy), np.sin(qy)
+    a_re = -np.cos(qx - qy) + cy - sy + 2.0 * sy * cy
+    a_im = -np.cos(qx + qy) + cy + sy
+    b_re = np.sin(qx + qy) - sy + cy - (cy - sy) * (cy + sy)
+    b_im = np.sin(qx - qy) + sy + cy - 1.0
+    return np.sqrt(a_re ** 2 + a_im ** 2 + b_re ** 2 + b_im ** 2)
+
+
+def coordinate_descent(fn, x, y, step, min_step, maximize=True):
+    """Derivative-free local search with shrinking axis-aligned steps."""
+    sign = 1.0 if maximize else -1.0
+    best = sign * float(fn(x, y))
+    while step > min_step:
+        moved = False
+        for dx, dy in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
+            cand = sign * float(fn(x + dx, y + dy))
+            if cand > best:
+                x, y, best = x + dx, y + dy, cand
+                moved = True
+        if not moved:
+            step /= 2.0
+    return x, y, sign * best
+
+
+def local_extrema(values, maximize, pad=None):
+    """Mask of grid points no worse than their eight neighbours; ``pad``
+    None wraps around the edges, a number pads them with it."""
+    sign = 1.0 if maximize else -1.0
+    v = sign * values
+    n1, n2 = v.shape
+    if pad is None:
+        neighbours = np.pad(v, 1, mode="wrap")
+    else:
+        neighbours = np.pad(v, 1, constant_values=sign * pad)
+    mask = np.ones_like(v, dtype=bool)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di or dj:
+                mask &= v >= neighbours[1 + di:n1 + 1 + di, 1 + dj:n2 + 1 + dj]
+    return mask
+
+
+def oracle_maxima(resolution):
+    """Scan the whole zone, hill-climb every near-peak local maximum."""
+    ax = -TWO_PI + 2 * TWO_PI * np.arange(resolution) / resolution
+    values = direct_rho(*np.meshgrid(ax, ax, indexing="ij"))
+    cands = np.argwhere(local_extrema(values, True)
+                        & (values > 0.99 * values.max()))
+    found = []
+    for i, j in cands:
+        x, y, v = coordinate_descent(direct_rho, ax[i], ax[j],
+                                     2 * TWO_PI / resolution, 1e-8)
+        x = (x + TWO_PI) % (2 * TWO_PI) - TWO_PI
+        y = (y + TWO_PI) % (2 * TWO_PI) - TWO_PI
+        if all(math.hypot(x - fx, y - fy) > 1e-4 for fx, fy, _ in found):
+            found.append((x, y, v))
+    return sorted(found)
+
+
+def oracle_zeros(resolution=512, tolerance=1e-6):
+    """Scan the closed zone, descend from every small local minimum."""
+    ax = np.linspace(-TWO_PI, TWO_PI, resolution + 1)
+    values = direct_rho(*np.meshgrid(ax, ax, indexing="ij"))
+    cands = np.argwhere(local_extrema(values, False, pad=np.inf) & (values < 0.5))
+    zeros = []
+    for i, j in cands:
+        x, y, v = coordinate_descent(direct_rho, ax[i], ax[j],
+                                     2 * TWO_PI / resolution, 1e-10,
+                                     maximize=False)
+        x, y = min(max(x, -TWO_PI), TWO_PI), min(max(y, -TWO_PI), TWO_PI)
+        if v < tolerance and all(math.hypot(x - zx, y - zy) > 1e-4
+                                 for zx, zy in zeros):
+            zeros.append((x, y))
+    return sorted(zeros)
 
 
 class TestDft:
@@ -143,6 +231,45 @@ class TestRho:
             dist = np.minimum(dist, np.hypot(qx - zx, qy - zy))
         assert values[dist > 0.3].min() > 0.05
 
+    def test_angle_addition_matches_direct_form(self):
+        rng = np.random.default_rng(9)
+        qx, qy = rng.uniform(-TWO_PI, TWO_PI, (2, 10_000))
+        np.testing.assert_allclose(rho(qx, qy), direct_rho(qx, qy),
+                                   rtol=0, atol=1e-14)
+
+    def test_broadcast_axes_match_meshgrid(self):
+        ax = -TWO_PI + 2 * TWO_PI * np.arange(96) / 96
+        ay = np.linspace(-TWO_PI, TWO_PI, 80)
+        on_axes = rho(ax[:, None], ay[None, :])
+        assert on_axes.shape == (96, 80)
+        np.testing.assert_allclose(on_axes, rho(*np.meshgrid(ax, ay, indexing="ij")),
+                                   rtol=0, atol=1e-14)
+
+
+class TestRho2Derivatives:
+    @given(zone_coords, zone_coords)
+    def test_value_is_rho_squared(self, qx, qy):
+        value, _, _ = spectral._rho2_derivatives(qx, qy)
+        assert value == pytest.approx(float(rho(qx, qy)) ** 2, rel=1e-12, abs=1e-13)
+
+    @given(zone_coords, zone_coords)
+    def test_gradient_matches_central_differences(self, qx, qy):
+        h = 1e-5
+        _, grad, _ = spectral._rho2_derivatives(qx, qy)
+        num = [(rho(qx + h, qy) ** 2 - rho(qx - h, qy) ** 2) / (2 * h),
+               (rho(qx, qy + h) ** 2 - rho(qx, qy - h) ** 2) / (2 * h)]
+        np.testing.assert_allclose(grad, num, rtol=0, atol=1e-7)
+
+    @given(zone_coords, zone_coords)
+    def test_hessian_matches_central_differences(self, qx, qy):
+        h = 1e-6
+        _, _, hess = spectral._rho2_derivatives(qx, qy)
+        gx = [spectral._rho2_derivatives(qx + d, qy)[1] for d in (h, -h)]
+        gy = [spectral._rho2_derivatives(qx, qy + d)[1] for d in (h, -h)]
+        num = np.array([(gx[0] - gx[1]) / (2 * h), (gy[0] - gy[1]) / (2 * h)])
+        np.testing.assert_allclose(hess, hess.T, rtol=0, atol=0)
+        np.testing.assert_allclose(hess, num, rtol=0, atol=1e-7)
+
 
 class TestMaximaSearch:
     def test_four_maxima_match_reference(self):
@@ -161,6 +288,38 @@ class TestMaximaSearch:
     def test_resolution_floor(self):
         with pytest.raises(ConfigurationError):
             find_rho_maxima(128)
+
+    @pytest.mark.parametrize("resolution", [256, 1024, 1025])
+    def test_maxima_are_exact_translates(self, resolution):
+        (p00, v00), (p01, v01), (p10, v10), (p11, v11) = find_rho_maxima(resolution)
+        assert p00.qX == p01.qX and p10.qX == p11.qX
+        assert p00.qY == p10.qY and p01.qY == p11.qY
+        assert abs(p10.qX - p00.qX - TWO_PI) < 1e-12
+        assert abs(p01.qY - p00.qY - TWO_PI) < 1e-12
+        assert max(v00, v01, v10, v11) - min(v00, v01, v10, v11) < 1e-12
+
+    def test_gradient_vanishes_at_maxima(self):
+        for pt, value in find_rho_maxima(1024):
+            rho2, grad, hess = spectral._rho2_derivatives(pt.qX, pt.qY)
+            assert np.abs(grad).max() < 1e-12
+            assert np.all(np.linalg.eigvalsh(hess) < 0)
+            assert value == pytest.approx(math.sqrt(rho2), rel=1e-15)
+
+    def test_matches_numeric_oracle(self):
+        found = oracle_maxima(1024)
+        assert len(found) == 4
+        for (pt, value), (x, y, v) in zip(find_rho_maxima(1024), found):
+            assert abs(pt.qX - x) < 1e-7 and abs(pt.qY - y) < 1e-7
+            assert value >= v - 1e-12  # no point the oracle found is higher
+
+    def test_newton_refuses_a_minimum(self):
+        with pytest.raises(ConsistencyError, match="negative definite"):
+            spectral._newton_maximum(0.1, -0.05)
+
+    def test_newton_reports_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_NEWTON_STEPS", 1)
+        with pytest.raises(ConsistencyError, match="converge"):
+            find_rho_maxima(256)
 
 
 class TestUnaffectedModes:
@@ -182,6 +341,24 @@ class TestUnaffectedModes:
                        for pt in modes)
         assert has(0.0, -TWO_PI)
         assert has(3 * math.pi / 2, math.pi / 2)
+
+    def test_coordinates_are_multiples_of_half_pi(self):
+        for pt in unaffected_modes():
+            for q in pt:
+                assert q == round(q / (math.pi / 2)) * (math.pi / 2)
+
+    def test_matches_numeric_oracle(self):
+        found = oracle_zeros()
+        modes = unaffected_modes()
+        assert len(found) == len(modes) == 13
+        for pt, (x, y) in zip(modes, found):
+            assert abs(pt.qX - x) < 1e-6 and abs(pt.qY - y) < 1e-6
+
+    def test_tolerance_filters_points(self):
+        modes = unaffected_modes(1e-300)
+        assert modes == [spectral.ModePoint(0.0, 0.0)]
+        with pytest.raises(ConfigurationError, match="positive"):
+            unaffected_modes(0.0)
 
 
 class TestEigen:
