@@ -304,8 +304,10 @@ def _run_continuum_check(cfg: RunConfig, out: Path, artifacts: list, metrics: di
             k = 2 * np.pi * n / length
             f = walk.SpinorField.plane_wave((length, length), k, k, pol)
             params = walk.WalkParams(epsilon=eps, mass=mass, xi=cfg.params.xi)
-            bandlimit = max(bandlimit, continuum.bandlimit_fraction(f))
-            rows.append((eps, continuum.continuum_residual(provider, params, f, 0)))
+            fraction = continuum.bandlimit_fraction(f)
+            bandlimit = max(bandlimit, fraction)
+            rows.append((eps, continuum.continuum_residual(provider, params, f, 0,
+                                                          bandlimit=fraction)))
         path = out / f"continuum_{case}.csv"
         artifacts.append((path, write_csv(path, ["epsilon", "residual"], rows)))
         logs = np.log([r[0] for r in rows]), np.log([r[1] for r in rows])
@@ -339,8 +341,11 @@ def _run_gw_angles(cfg: RunConfig, out: Path, artifacts: list, metrics: dict):
     rows = []
     for j in range(cfg.steps + 1):
         t = j * cfg.params.epsilon
-        t11, t12, t21, t22 = geometry.gw_angles(cfg.gw, t)
-        rows.append((t, t11, t12, t21, t22))
+        angles = geometry.gw_angles(cfg.gw, t)
+        if not all(map(math.isfinite, angles)):
+            raise ConsistencyError(
+                f"gw angles are not finite at T={t:g} (j={j}): {angles}")
+        rows.append((t, *angles))
     path = out / "gw_angles.csv"
     artifacts.append((path, write_csv(
         path, ["T", "theta11", "theta12", "theta21", "theta22"], rows)))

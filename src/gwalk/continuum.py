@@ -214,9 +214,14 @@ def bandlimit_fraction(field: SpinorField) -> float:
 
 def continuum_residual(provider: AngleProvider, params: WalkParams,
                        field: SpinorField, j: int,
-                       bandlimit_tol: float = 1e-8) -> float:
-    """|| step(Psi) - Psi + i*eps*H*Psi || / ||Psi|| at time j."""
-    frac = bandlimit_fraction(field)
+                       bandlimit_tol: float = 1e-8, *,
+                       bandlimit: float | None = None) -> float:
+    """|| step(Psi) - Psi + i*eps*H*Psi || / ||Psi|| at time j.
+
+    ``bandlimit`` is the field's ``bandlimit_fraction`` when the caller has
+    taken it already; the guard compares it with ``bandlimit_tol``.
+    """
+    frac = bandlimit_fraction(field) if bandlimit is None else bandlimit
     if frac > bandlimit_tol:
         raise ConfigurationError(
             f"field is not bandlimited: top-half spectral mass {frac:.3e} "

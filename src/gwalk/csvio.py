@@ -1,25 +1,246 @@
-"""CSV and manifest helpers: ``write_csv``, the one writer, takes rows or a grid."""
+"""CSV and manifest helpers: ``write_csv``, the one writer, takes rows or a grid.
+
+Grids are formatted by a numpy kernel that gives the bytes of ``b"%.17g" % x``
+for whole float64 blocks (``_format17``): the exact 17-digit decimal comes
+from the binary mantissa times a power of five in 28-bit limbs, its digits
+from a 4-digit table, and the ``%g`` layout from one table of byte offsets.
+"""
 
 from __future__ import annotations
 
 import contextlib
 import csv
 import hashlib
+import math
 import os
 from collections import namedtuple
 
+import numpy as np
+
+# ---------------------------------------------------------------------------
+# exact %.17g of float64 blocks
+# ---------------------------------------------------------------------------
+#
+# The kernel works on int64 only, with shifts in place of comparisons, and
+# takes from tables: each distinct numpy inner loop it runs maps more of
+# numpy's code into memory (64 KiB at a time), which peak RSS counts.
+
+def _bits(x: float) -> int:
+    return int(np.array(x).view(np.int64))
+
+
+#: |x| in [1e-39, 1e16) takes the kernel; 0, subnormals, non-finite and other
+#: magnitudes take Python's ``%``.  Over this range 5**k fits in five 28-bit
+#: limbs: 5**56 < 2**131, for x = 1e-39 < 10**-39.
+_FAST = _bits(1e-39), _bits(1e16)
+_ONE = _bits(1.0)
+_LIMB, _MASK = 28, (1 << 28) - 1
+_POW5 = np.array([[(5 ** k >> _LIMB * j) & _MASK for k in range(57)] for j in range(5)])
+#: limbs of 5**k, by k, and the first bit of each limb
+_POW5_LIMBS = [-(-(5 ** k).bit_length() // _LIMB) for k in range(57)]
+_LIMB_START = _LIMB * np.arange(6)[:, None]
+#: floor(1024 log2(1 + i / 1024)): log2 of the mantissa's top ten bits
+_LOG2_TOP = np.array([math.floor(1024 * math.log2(1 + i / 1024)) for i in range(1024)])
+#: the four ASCII digits of 0..9999 as one word, and their trailing zeros;
+#: built with the int64 loops the kernel runs anyway
+_DIGITS4 = np.empty((10000, 4), np.uint8)
+_ZEROS4 = np.zeros(10000, np.int64)
+_rest, _digits = np.arange(10000), []
+for _i, _place in enumerate((1000, 100, 10, 1)):
+    _digit, _rest = np.divmod(_rest, _place)
+    _DIGITS4[:, _i] = _digit + ord("0")
+    _digits.append(_digit)
+_run = -1                           # -1 while every digit from the right is 0
+for _digit in reversed(_digits):
+    _run = _run & ((_digit - 1) >> 63)
+    _ZEROS4 -= _run
+_WORDS4 = _DIGITS4.view(np.uint32).ravel()
+del _i, _place, _rest, _digit, _digits, _run
+
+#: text width: the longest ``%.17g`` (24 bytes, "-2.2250738585072014e-308")
+#: and its separator
+_WIDTH = 25
+#: bytes of one value's source row, which the layout table indexes:
+#:   0 NUL, 1 the sign ('-' or NUL), 2 '.', 3 'e', 4..6 '0', 7..23 the 17
+#:   digits, 24, 25 '0', 26, 27 the two exponent digits, 28 the separator,
+#:   29 '-'; the scientific form's exponents are all negative
+_SOURCE = 32
+_HEADS = np.frombuffer(b"\0\0.e\0-.e", np.uint32)      # by sign
+
+
+def _layout_table() -> np.ndarray:
+    """Byte offsets of every ``%.17g`` text in a source row, right-aligned
+    in ``_WIDTH`` and ending with the separator.
+
+    Row ``form * 18 + digits``: ``form`` is the decimal exponent plus 4 for
+    the fixed forms (-4..15) and 20 for the scientific one (exponent
+    -39..-5), ``digits`` the significant digits (1..17).  A fraction digit
+    past ``digits`` is a trailing zero and is left out, and so is the point
+    when no fraction digit is left.  Every text starts with the sign byte.
+    """
+    rows = []
+    for form in range(21):
+        exponent = 0 if form == 20 else form - 4
+        if exponent < 0:                        # 0.000ddd: all fraction digits
+            whole, text = 0, [4, 2] + [4] * (-exponent - 1)
+        else:                                   # ddd.ddd, or d.ddd e-XX
+            whole, text = exponent + 1, list(range(7, 8 + exponent))
+        tail = [3, 29, 26, 27, 28] if form == 20 else [28]
+        for digits in range(18):
+            kept = max(digits, whole)
+            fraction = list(range(7 + whole, 7 + kept))
+            point = [2] if fraction and whole else []
+            body = [1] + text + point + fraction + tail
+            rows.append([0] * (_WIDTH - len(body)) + body)
+    return np.array(rows)
+
+
+_LAYOUT = _layout_table()
+#: values laid out per gather, and the offsets of their source rows
+_GATHER = 256
+_ROW_STARTS = _SOURCE * np.arange(_GATHER)[:, None]
+
+
+def _round17(m, e2, x10):
+    """``m * 2**e2 * 10**(16 - x10)`` rounded half to even, exactly.
+
+    ``m * 5**k`` is summed in 28-bit limbs and shifted right by ``-(e2 + k)``
+    bits, keeping one more: the half bit.  The bits below it are zero only
+    where ``m`` has as many trailing zero bits, as 5**k is odd.
+    """
+    k = 16 - x10
+    m = m << 3                      # e2 + k <= 2 below 1e16: the cut stays >= 0
+    cut = 2 - e2 - k                # the half bit's position in m * 5**k
+    limbs = _POW5_LIMBS[k[k.argmax()]]   # k.max() would map one more loop
+    p = _POW5[:limbs].take(k, axis=1)
+    acc = np.zeros((limbs + 1, m.size), np.int64)
+    np.multiply(p, m & _MASK, out=acc[:-1])
+    p *= m >> _LIMB
+    acc[1:] += p
+    del p
+    for j in range(limbs):
+        acc[j + 1] += acc[j] >> _LIMB
+        acc[j] &= _MASK
+    # limb j moves left by its first bit minus the cut; a negative shift
+    # count gives 0, so each limb takes the one of its two shifts it needs
+    left = _LIMB_START[:limbs + 1] - cut
+    high = acc << left
+    acc >>= np.negative(left, out=left)
+    acc |= high
+    del left, high
+    twice = np.bitwise_or.reduce(acc, axis=0)
+    del acc
+    # round up where the half bit is set and q is odd or bits below are set
+    odd_or_rest = (m & ((1 << cut) - 1)) | (twice & 2)   # 1 << 64 or more is 0
+    return (twice + ((odd_or_rest + (1 << 62) - 1) >> 62)) >> 1
+
+
+def _format17(values, sep: bytes, out) -> None:
+    """Write ``b"%.17g" % x + sep`` of each float64 into the rows of ``out``,
+    a ``(n, _WIDTH)`` uint8 array, right-aligned after NUL padding.
+
+    Each intermediate is freed once spent, which keeps a block's working
+    memory to a few hundred bytes per value."""
+    n = values.size
+    bits = values.view(np.int64)
+    a = bits & ((1 << 63) - 1)
+    gap = (a - _FAST[0]) | (_FAST[1] - 1 - a)   # negative outside the range
+    slow = np.flatnonzero(gap >> 63)
+    a[slow] = _ONE
+    m = (a & ((1 << 52) - 1)) | (1 << 52)
+    e2 = (a >> 52) - 1075
+    del a, gap
+    # a lower bound of 1024 log2 |x| times log10(2) 2**40, just below it:
+    # floor(log10 |x|) or one less, for every |x| in the range
+    log2 = ((e2 + 52) << 10) + _LOG2_TOP.take((m >> 42) & 1023)
+    x10 = (log2 * 330985980541) >> 50
+    del log2
+    q = _round17(m, e2, x10)
+    # q >= 10**17 where x10 was one less, or where the value rounds up to
+    # 10**(x10 + 1): take those again one decade up
+    up = np.flatnonzero((10 ** 17 - 1 - q) >> 63)
+    if up.size:
+        x10[up] += 1
+        q[up] = _round17(m[up], e2[up], x10[up])
+    digits = np.empty((5, n), np.int64)      # the first digit, then 4 x 4
+    high, low = np.divmod(q, 10 ** 8)
+    np.divmod(high, 10 ** 8, out=(digits[0], high))
+    np.divmod(high, 10 ** 4, out=(digits[1], digits[2]))
+    np.divmod(low, 10 ** 4, out=(digits[3], digits[4]))
+    del q, high, low
+    source = np.empty((n, _SOURCE // 4), np.uint32)
+    source[:, 0] = _HEADS.take((bits >> 63) & 1)
+    source[:, 1:6] = _WORDS4.take(digits).T
+    source[:, 6] = _WORDS4.take(-x10 & 127)     # -x10 where scientific
+    source[:, 7] = np.frombuffer((sep + b"-").ljust(4, b"\0"), np.uint32)[0]
+    zeros = _ZEROS4.take(digits[4])
+    for g in (3, 2, 1):             # the groups right of g are all zeros:
+        more = np.flatnonzero((zeros + 4 * g) >> 4)     # count on into g
+        if not more.size:
+            break
+        zeros[more] += _ZEROS4.take(digits[g, more])
+    form = x10 + 4                  # the fixed forms, 0..19
+    form[np.flatnonzero(form >> 63)] = 20       # and the scientific one
+    code = form * 18 + 17 - zeros
+    del digits, zeros
+    flat = source.view(np.uint8).ravel()
+    for start in range(0, n, _GATHER):      # bounds the (values, _WIDTH) index
+        index = _LAYOUT.take(code[start:start + _GATHER], axis=0)
+        index += _ROW_STARTS[:len(index)] + _SOURCE * start
+        out[start:start + _GATHER] = flat.take(index)
+    if slow.size:
+        text = b"".join((b"%.17g" % x + sep).rjust(_WIDTH, b"\0")
+                        for x in values[slow].tolist())
+        out[slow] = np.frombuffer(text, np.uint8).reshape(-1, _WIDTH)
+
+
+# ---------------------------------------------------------------------------
+# writer
+# ---------------------------------------------------------------------------
+
+#: values formatted per block of grid lines
+_BLOCK = 1024
+
+
+def _texts(values, sep: bytes, right: bool) -> np.ndarray:
+    """``b"%.17g" % v + sep`` of each axis value, NUL-padded to one width."""
+    texts = [b"%.17g" % v + sep for v in values]
+    width = max(map(len, texts), default=0)
+    pad = bytes.rjust if right else bytes.ljust
+    joined = b"".join(pad(t, width, b"\0") for t in texts)
+    return np.frombuffer(joined, np.uint8).reshape(len(texts), width)
+
 
 class Grid(namedtuple("Grid", "fields axes")):
-    """2D fields of one shape and their axes.  ``chunks`` formats each axis value
-    once and yields (text, rows) per first-axis row, filled by one ``%`` call."""
+    """2D fields of one shape and their axes.  ``chunks`` formats each axis
+    value once and yields (bytes, rows) per block of first-axis rows."""
+
     def chunks(self):
-        k, n2 = len(self.fields), len(self.axes[1])
-        cells = ["", *("," + "%.17g" % y + ",%.17g" * k + "\n" for y in self.axes[1])]
-        values = [None] * (n2 * k)
-        for x, row in zip(self.axes[0], zip(*self.fields, strict=True), strict=True):
-            for i, r in enumerate(row):
-                values[i::k] = r.tolist()
-            yield ("%.17g" % x).join(cells) % tuple(values), n2
+        n1, n2 = len(self.axes[0]), len(self.axes[1])
+        for f in self.fields:
+            if np.shape(f) != (n1, n2):
+                raise ValueError(f"grid field of shape {np.shape(f)} does not fit "
+                                 f"axes of lengths {n1}, {n2}")
+            if np.iscomplexobj(f):
+                raise TypeError("%.17g takes real grid fields, not complex ones")
+        if not n1 * n2:
+            return
+        xs = _texts(self.axes[0], b",", right=True)
+        ys = _texts(self.axes[1], b",", right=False)
+        seps = [b","] * (len(self.fields) - 1) + [b"\n"]
+        rows = max(1, _BLOCK // n2)
+        wx, wy = xs.shape[1], ys.shape[1]
+        lines = np.empty((rows * n2, wx + wy + _WIDTH * len(seps)), np.uint8)
+        lines.reshape(rows, n2, -1)[:, :, wx:wx + wy] = ys
+        for start in range(0, n1, rows):
+            stop = min(start + rows, n1)
+            block = lines[:(stop - start) * n2]
+            block.reshape(stop - start, n2, -1)[:, :, :wx] = xs[start:stop, None]
+            for i, (f, sep) in enumerate(zip(self.fields, seps)):
+                col = wx + wy + _WIDTH * i
+                values = np.asarray(f[start:stop], dtype=np.float64).ravel()
+                _format17(values, sep, block[:, col:col + _WIDTH])
+            yield block.tobytes().translate(None, b"\0"), len(block)
 
 
 def write_csv(path, header, rows) -> int:
@@ -32,13 +253,13 @@ def write_csv(path, header, rows) -> int:
     grid = isinstance(rows, Grid)
     if grid and len(header) != 2 + len(rows.fields):
         raise ValueError(f"header {header} does not fit {len(rows.fields)} grid fields")
-    template = ",".join(["%.17g"] * len(header)) + "\n"
+    template = b",".join([b"%.17g"] * len(header)) + b"\n"
     chunks = rows.chunks() if grid else ((template % tuple(row), 1) for row in rows)
     tmp = f"{os.fspath(path)}.tmp"
     count = 0
     try:
-        with open(tmp, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
+        with open(tmp, "wb") as fh:
+            fh.write(",".join(header).encode() + b"\n")
             for text, n in chunks:
                 fh.write(text)
                 count += n

@@ -353,12 +353,13 @@ class SpectrumGrid:
 
     @classmethod
     def sample(cls, fn: Callable, resolution: int, kind: str) -> "SpectrumGrid":
-        """Evaluate fn(qX, qY) one qX row at a time into a preallocated grid,
-        so no full-grid coordinate or temporary arrays are built."""
+        """Evaluate fn(qX, qY) one qX row at a time, the row's scalar qX
+        broadcast against the qY axis, into a preallocated grid, so no
+        full-grid coordinate or temporary arrays are built."""
         ax = -TWO_PI + 2 * TWO_PI * np.arange(resolution) / resolution
         values = np.empty((resolution, resolution))
         for i, x in enumerate(ax):
-            values[i] = fn(np.full(resolution, x), ax)
+            values[i] = fn(x, ax)
         return cls(ax, ax.copy(), values, kind)
 
     def to_csv(self, path) -> int:

@@ -123,6 +123,22 @@ class TestRuns:
             assert metrics[f"bandlimit_{case}"] == expected
             assert 0.0 <= metrics[f"bandlimit_{case}"] < 1e-8
 
+    def test_continuum_check_takes_each_bandlimit_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = continuum.bandlimit_fraction
+
+        def counted(field):
+            calls.append(field)
+            return original(field)
+
+        monkeypatch.setattr(continuum, "bandlimit_fraction", counted)
+        payload = {"experiment": "continuum-check", "lattice": [32, 32],
+                   "epsilons": [0.2, 0.1, 0.05], "params": {"m": 0.4},
+                   "out_dir": str(tmp_path / "out")}
+        assert run(parse_config(None, payload)) == 0
+        # three cases, one field per epsilon
+        assert len(calls) == 3 * 3
+
     def test_interference_artifacts(self, tmp_path):
         cfg = parse_config(None, {"experiment": "interference",
                                   "lattice": [32, 32],
@@ -288,6 +304,16 @@ class TestMainExitCodes:
                    "out_dir": str(tmp_path / "out")}
         assert main(["--config", write_config(tmp_path, payload)]) == 3
         assert "j=0, site (0, 0)" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_gw_angles_that_overflow_are_3_naming_the_time(self, tmp_path, capsys):
+        # finite config numbers whose K - F overflows: theta11 is infinite
+        payload = {"experiment": "gw-angles", "steps": 2,
+                   "params": {"xi": 0.03, "epsilon": 0.5},
+                   "gw": {"F": -1e308, "K": 1e308, "K_prime": 1e308},
+                   "out_dir": str(tmp_path / "out")}
+        assert main(["--config", write_config(tmp_path, payload)]) == 3
+        assert "T=0 (j=0)" in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],

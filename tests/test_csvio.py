@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gwalk import csvio
-from gwalk.csvio import grid_rows, read_csv, write_csv
+from gwalk.cli import parse_config, run
+from gwalk.csvio import grid_rows, read_csv, sha256_file, write_csv
 
 
 def test_mixed_row_bytes(tmp_path):
@@ -53,14 +54,14 @@ FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
 
 
 @st.composite
-def grids(draw):
+def grids(draw, elements=FLOATS):
     """1-3 fields of one 1-9 x 1-9 shape, with index or float axes."""
     shape = (draw(st.integers(1, 9)), draw(st.integers(1, 9)))
-    fields = tuple(draw(hnp.arrays(np.float64, shape, elements=FLOATS))
+    fields = tuple(draw(hnp.arrays(np.float64, shape, elements=elements))
                    for _ in range(draw(st.integers(1, 3))))
     axes = None
     if draw(st.booleans()):
-        axes = tuple(draw(hnp.arrays(np.float64, n, elements=FLOATS)) for n in shape)
+        axes = tuple(draw(hnp.arrays(np.float64, n, elements=elements)) for n in shape)
     return fields, axes
 
 
@@ -123,3 +124,100 @@ def test_grid_of_mismatched_shapes_raises_and_leaves_no_file(tmp_path, second, a
     with pytest.raises((ValueError, TypeError)):
         write_csv(tmp_path / "grid.csv", ["x", "y", "a", "b"], grid)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_complex_grid_field_raises_and_leaves_no_file(tmp_path):
+    with pytest.raises(TypeError, match="complex"):
+        write_csv(tmp_path / "grid.csv", ["x", "y", "v"], grid_rows(np.ones((2, 3), complex)))
+    assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# the vectorised %.17g kernel
+# ---------------------------------------------------------------------------
+
+def kernel_bytes(values, sep=b"\n"):
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    out = np.zeros((values.size, csvio._WIDTH), np.uint8)
+    csvio._format17(values, sep, out)
+    return out.tobytes().translate(None, b"\0")
+
+
+def percent_bytes(values, sep=b"\n"):
+    return b"".join(b"%.17g" % x + sep for x in np.asarray(values, np.float64).tolist())
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=64))
+def test_kernel_gives_the_bytes_of_percent_17g(values):
+    assert kernel_bytes(values) == percent_bytes(values)
+
+
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+def test_kernel_gives_the_bytes_of_percent_17g_on_bit_patterns(patterns):
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    assert kernel_bytes(values, b",") == percent_bytes(values, b",")
+
+
+def _border_values():
+    powers = np.array([float(f"1e{e}") for e in range(-45, 21)])
+    tiny = np.finfo(np.float64).tiny
+    borders = [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+               [0.0, 5e-324, np.nextafter(tiny, 0.0), tiny, np.nextafter(tiny, 1.0),
+                1e-39, 1e-4, 1e16, 1e17, 0.5, 1.5, 2.5, 100.0, 2.0 ** 53, 2.0 ** 53 + 2]]
+    values = np.concatenate([np.asarray(b, np.float64) for b in borders])
+    return np.concatenate([values, -values])
+
+
+def test_kernel_at_powers_of_ten_zero_subnormals_and_form_borders():
+    values = _border_values()
+    got = kernel_bytes(values).split(b"\n")[:-1]
+    want = [b"%.17g" % x for x in values.tolist()]
+    assert [(x, g) for x, g, w in zip(values.tolist(), got, want) if g != w] == []
+
+
+#: magnitudes 1e-40..1e20 of either sign
+SPREAD = st.builds(lambda m, e, s: s * m * 10.0 ** e, st.floats(1.0, 10.0),
+                   st.integers(-40, 20), st.sampled_from([1.0, -1.0]))
+
+
+@given(grids(SPREAD))
+def test_grid_writes_the_bytes_of_its_rows_across_magnitudes(tmp_path_factory, case):
+    fields, axes = case
+    header = ["x", "y"] + [f"f{i}" for i in range(len(fields))]
+    out = tmp_path_factory.mktemp("grid")
+    write_csv(out / "grid.csv", header, grid_rows(*fields, axes=axes))
+    write_csv(out / "rows.csv", header, oracle_grid_rows(*fields, axes=axes))
+    assert (out / "grid.csv").read_bytes() == (out / "rows.csv").read_bytes()
+
+
+def test_grid_write_working_memory_stays_below_the_grid(tmp_path):
+    rng = np.random.default_rng(1)
+    values = rng.standard_normal((256, 256)) * 10.0 ** rng.integers(-40, 16, (256, 256))
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "grid.csv", ["x", "y", "v"], grid_rows(values))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.8 * values.nbytes
+
+
+#: SHA-256 of outputs written by the per-row ``%`` writer this kernel replaced
+PINNED = {
+    "spectrum": ({"experiment": "spectrum", "resolution": 64}, "rho.csv",
+                 "7eee1ba12f15e28bbb4ae83d20a86e74e05b46307999d6ac6c653d8bfe2e4322"),
+    "evolve": ({"experiment": "evolve", "lattice": [32, 32], "steps": 12,
+                "params": {"epsilon": 1.0, "m": 0.2, "xi": 0.03},
+                "gw": {"F": {"kind": "sine", "amplitude": 1.0, "omega": 0.2},
+                       "G": {"kind": "sine", "amplitude": 0.8, "omega": 0.15},
+                       "K": 1.4, "K_prime": 1.3}},
+               "evolve_density.csv",
+               "3013cda6267b636d06b616bbe8eeb6760de1b96c8cd6aabddc946699b4bce011"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_grid_csv_bytes_are_pinned(tmp_path, name):
+    config, filename, digest = PINNED[name]
+    assert run(parse_config(None, {**config, "out_dir": str(tmp_path)})) == 0
+    assert sha256_file(tmp_path / filename) == digest

@@ -501,3 +501,12 @@ class TestSpectrumGrid:
         assert tuple(rows[0, :2]) == (-TWO_PI, -TWO_PI)
         np.testing.assert_allclose(rows[:, 2], rho(rows[:, 0], rows[:, 1]),
                                    rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("resolution", [8, 1024])
+    def test_sample_with_a_scalar_row_equals_the_full_row_evaluation(self, resolution):
+        # the grid hands rho each row's qX as a scalar; broadcast against the
+        # qY axis it gives the same floats as a row of repeated qX
+        grid = SpectrumGrid.sample(rho, resolution, "rho")
+        ax = grid.qy
+        full = np.stack([rho(np.full(resolution, x), ax) for x in grid.qx])
+        assert np.array_equal(grid.values, full)
