@@ -12,13 +12,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import continuum, geometry, interference, spectral, walk
-from .csvio import grid_rows, sha256_file, write_csv
+from .csvio import grid_rows, replacing, sha256_file, write_csv
 from .errors import ConfigurationError, ConsistencyError, WalkError
 
 EXPERIMENTS = ("evolve", "spectrum", "rho-max", "unaffected-modes",
@@ -31,75 +31,135 @@ OUT_DIR_ENV = "GWALK_OUT"
 #: fails with exit code 3 and writes no outputs.
 NORM_DRIFT_TOL = 1e-10
 
-_TOP_KEYS = {"experiment", "lattice", "params", "gw", "resolution", "out_dir",
-             "threads", "q", "steps", "epsilons", "q_list", "figures"}
-_PARAM_KEYS = {"epsilon", "m", "xi"}
-_GW_KEYS = {"F", "G", "K", "K_prime"}
-_WAVEFORM_KEYS = {"constant": {"kind", "amplitude"},
-                  "sine": {"kind", "amplitude", "omega"}}
 
-_DEFAULT_EPSILONS = (0.2, 0.1, 0.05, 0.025)
+# ---------------------------------------------------------------------------
+# config kinds: each checks a value named ``name`` and returns it resolved
+# ---------------------------------------------------------------------------
 
-
-@dataclass
-class RunConfig:
-    experiment: str
-    lattice: tuple[int, int] = (64, 64)
-    params: walk.WalkParams = field(default_factory=walk.WalkParams)
-    gw: geometry.GwParams = field(default_factory=lambda: geometry.GwParams(xi=1e-4, g=1.0))
-    resolution: int = 512
-    out_dir: Path = Path("gwalk_out")
-    q: float | None = None
-    steps: int = 16
-    epsilons: tuple[float, ...] = _DEFAULT_EPSILONS
-    q_list: tuple[float, ...] | None = None
-    figures: tuple[str, ...] = ("fig1", "fig2", "fig3", "fig4")
-    resolved: dict = field(default_factory=dict)
-
-
-def _reject_unknown(mapping: dict, allowed: set, context: str) -> None:
-    for key in mapping:
-        if key not in allowed:
-            raise ConfigurationError(f"unknown key {key!r} in {context}")
-
-
-def _as_finite(value, name: str) -> float:
-    """``value`` as a float; anything but a finite number is a config error."""
-    number = float(value) if isinstance(value, (int, float)) else math.nan
-    if not math.isfinite(number):
+def _finite(value, name: str, positive: bool = False) -> float:
+    """A number, finite as a float; a bool is not a number."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
         raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
-    return number
+    if positive and not value > 0:
+        raise ConfigurationError(f"{name} must be positive, got {value!r}")
+    return float(value)
 
 
-def _waveform(spec, context: str):
-    """Turn a waveform spec into a callable of time."""
-    if spec is None:
-        return lambda t: 0.0
-    if isinstance(spec, (int, float)):
-        amp = _as_finite(spec, context)
-        return lambda t: amp
-    if not isinstance(spec, dict):
-        raise ConfigurationError(f"{context} must be a number or an object")
-    kind = spec.get("kind")
-    if kind not in _WAVEFORM_KEYS:
-        raise ConfigurationError(
-            f"unknown waveform kind {kind!r} in {context}; use 'constant' or 'sine'")
-    _reject_unknown(spec, _WAVEFORM_KEYS[kind], context)
-    amp = _as_finite(spec.get("amplitude", 0.0), f"{context}.amplitude")
-    if kind == "constant":
-        return lambda t: amp
-    omega = _as_finite(spec.get("omega", 0.0), f"{context}.omega")
-    return lambda t: amp * math.sin(omega * t)
+def _optional(value, name: str, kind, *constraint):
+    return None if value is None else kind(value, name, *constraint)
 
 
-def _as_positive_int(value, name: str, minimum: int = 1) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+def _finite_list(value, name: str, positive: bool = False) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigurationError(f"{name} must be a non-empty list, got {value!r}")
+    return tuple(_finite(v, name, positive) for v in value)
+
+
+def _integer(value, name: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return value
 
 
+def _even_pair(value, name: str) -> tuple[int, int]:
+    if (not isinstance(value, (list, tuple)) or len(value) != 2
+            or not all(isinstance(v, int) and v > 0 and v % 2 == 0 for v in value)):
+        raise ConfigurationError(
+            f"{name} must be two positive even integers, got {value!r}")
+    return tuple(value)
+
+
+def _choice(value, name: str, choices: tuple) -> str:
+    if value not in choices:
+        raise ConfigurationError(
+            f"unknown {name} {value!r}; choose one of {', '.join(choices)}")
+    return value
+
+
+def _directory(value, name: str) -> str:
+    """An output directory; null or empty takes $GWALK_OUT, else ``gwalk_out``."""
+    if value is not None and not isinstance(value, str):
+        raise ConfigurationError(f"{name} must be a path, got {value!r}")
+    return value or os.environ.get(OUT_DIR_ENV) or "gwalk_out"
+
+
+#: the keys of each waveform primitive besides ``kind``
+_WAVEFORMS = {"constant": {"amplitude": (_finite, 0.0)},
+              "sine": {"amplitude": (_finite, 0.0), "omega": (_finite, 0.0)}}
+
+
+def _wave(spec, name: str):
+    """``GwParams``' form of a waveform: null is 0, else a number or ``_WAVEFORMS``."""
+    if not isinstance(spec, dict):
+        return 0.0 if spec is None else _finite(spec, name)
+    kind = _choice(spec.get("kind"), f"{name}.kind", tuple(_WAVEFORMS))
+    wave = _resolve(_WAVEFORMS[kind], {k: v for k, v in spec.items() if k != "kind"}, name)
+    amp, omega = wave["amplitude"], wave.get("omega")
+    return amp if kind == "constant" else lambda t: amp * math.sin(omega * t)
+
+
+def _waveform(spec, name: str):
+    """A waveform spec, checked and kept as given, for the manifest."""
+    _wave(spec, name)
+    return spec
+
+
+#: Every config key, once: its kind, its default and the kind's constraint.
+#: A nested table is an object: any of its keys, and no other.
+_SCHEMA = {
+    "experiment": (_choice, None, EXPERIMENTS),
+    "lattice": (_even_pair, (64, 64)),
+    "params": {"epsilon": (_finite, 1.0, True), "m": (_finite, 0.0), "xi": (_finite, 1e-4)},
+    "gw": {"F": (_waveform, {"kind": "constant", "amplitude": 0.0}),
+           "G": (_waveform, {"kind": "constant", "amplitude": 1.0}),
+           "K": (_finite, 0.0), "K_prime": (_finite, 0.0)},
+    "resolution": (_integer, 512, 2),
+    "steps": (_integer, 16, 0),
+    # accepted and recorded so older configs keep running; it has no effect
+    "threads": (_integer, 1, 1),
+    "q": (_optional, None, _finite, True),
+    "epsilons": (_finite_list, (0.2, 0.1, 0.05, 0.025), True),
+    "out_dir": (_directory, None),
+}
+
+
+def _resolve(schema: dict, raw, context: str) -> dict:
+    """``raw`` checked against ``schema``, with every absent key's default."""
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{context} must be an object, got {raw!r}")
+    for key in raw:
+        if key not in schema:
+            raise ConfigurationError(f"unknown key {key!r} in {context or 'config'}")
+    resolved = {}
+    for key, spec in schema.items():
+        name = f"{context}.{key}" if context else key
+        if isinstance(spec, dict):
+            resolved[key] = _resolve(spec, raw.get(key, {}), name)
+        else:
+            kind, default, *constraint = spec
+            resolved[key] = kind(raw.get(key, default), name, *constraint)
+    return resolved
+
+
+@dataclass
+class RunConfig:
+    """A checked run; ``resolved`` holds every config value, for the manifest."""
+
+    experiment: str
+    lattice: tuple[int, int]
+    params: walk.WalkParams
+    gw: geometry.GwParams
+    resolution: int
+    out_dir: Path
+    q: float | None
+    steps: int
+    epsilons: tuple[float, ...]
+    resolved: dict
+
+
 def parse_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
-    """Load, validate and resolve a run configuration.
+    """Load, check and resolve a run configuration against ``_SCHEMA``.
 
     ``overrides`` holds flag values that take precedence over the file;
     unknown keys anywhere are rejected by name.
@@ -111,7 +171,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
             raise ConfigurationError(f"config file not found: {p}")
         try:
             raw = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer with too many digits to read
             raise ConfigurationError(f"config file {p} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigurationError("config root must be a JSON object")
@@ -123,90 +183,21 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
         else:
             raw[key] = value
 
-    _reject_unknown(raw, _TOP_KEYS, "config")
-
-    experiment = raw.get("experiment")
-    if experiment not in EXPERIMENTS:
-        raise ConfigurationError(
-            f"unknown experiment {experiment!r}; choose one of {', '.join(EXPERIMENTS)}")
-
-    lattice = raw.get("lattice", [64, 64])
-    if (not isinstance(lattice, (list, tuple)) or len(lattice) != 2
-            or not all(isinstance(v, int) and v > 0 and v % 2 == 0 for v in lattice)):
-        raise ConfigurationError(
-            f"lattice must be two positive even integers, got {lattice!r}")
-    lattice = (lattice[0], lattice[1])
-
-    pars = dict(raw.get("params", {}))
-    _reject_unknown(pars, _PARAM_KEYS, "params")
-    params = walk.WalkParams(
-        epsilon=_as_finite(pars.get("epsilon", 1.0), "params.epsilon"),
-        mass=_as_finite(pars.get("m", 0.0), "params.m"),
-        xi=_as_finite(pars.get("xi", 1e-4), "params.xi"))
-
-    gw_spec = dict(raw.get("gw", {}))
-    _reject_unknown(gw_spec, _GW_KEYS, "gw")
-    gw = geometry.GwParams(
-        xi=params.xi,
-        f=_waveform(gw_spec.get("F"), "gw.F"),
-        g=_waveform(gw_spec.get("G", {"kind": "constant", "amplitude": 1.0}), "gw.G"),
-        k=_as_finite(gw_spec.get("K", 0.0), "gw.K"),
-        k_prime=_as_finite(gw_spec.get("K_prime", 0.0), "gw.K_prime"))
-
-    resolution = _as_positive_int(raw.get("resolution", 512), "resolution", 2)
-    # accepted and recorded so existing configs keep running; it has no effect
-    threads = _as_positive_int(raw.get("threads", 1), "threads", 1)
-    steps = raw.get("steps", 16)
-    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 0:
-        raise ConfigurationError(f"steps must be an integer >= 0, got {steps!r}")
-
-    q = raw.get("q")
-    if q is not None:
-        q = _as_finite(q, "q")
-        if not q > 0:
-            raise ConfigurationError(f"q must be positive, got {q!r}")
-
-    epsilons = tuple(_as_finite(e, "epsilons")
-                     for e in raw.get("epsilons", _DEFAULT_EPSILONS))
-    if not epsilons or any(e <= 0 for e in epsilons):
-        raise ConfigurationError(f"epsilons must be positive, got {epsilons!r}")
-
-    q_list = raw.get("q_list")
-    if q_list is not None:
-        q_list = tuple(_as_finite(v, "q_list") for v in q_list)
-        if any(not 0.0 < v < math.pi for v in q_list):
-            raise ConfigurationError("q_list entries must lie in (0, pi)")
-
-    figures = tuple(raw.get("figures", ("fig1", "fig2", "fig3", "fig4")))
-    if any(f not in ("fig1", "fig2", "fig3", "fig4") for f in figures):
-        raise ConfigurationError(f"figures must be among fig1..fig4, got {figures!r}")
-
-    out_dir = raw.get("out_dir") or os.environ.get(OUT_DIR_ENV) or "gwalk_out"
-
-    config = RunConfig(experiment=experiment, lattice=lattice, params=params,
-                       gw=gw, resolution=resolution, out_dir=Path(out_dir),
-                       q=q, steps=steps, epsilons=epsilons,
-                       q_list=q_list, figures=figures)
+    inputs = _resolve(_SCHEMA, raw, "")
+    pars, wave = inputs["params"], inputs["gw"]
+    params = walk.WalkParams(epsilon=pars["epsilon"], mass=pars["m"], xi=pars["xi"])
+    gw = geometry.GwParams(xi=params.xi, f=_wave(wave["F"], "gw.F"),
+                           g=_wave(wave["G"], "gw.G"), k=wave["K"], k_prime=wave["K_prime"])
 
     # angle-generating experiments must satisfy the sign conditions over the
     # whole simulated time range, including the one-slice lookahead
-    if experiment in ("evolve", "gw-angles"):
-        for j in range(steps + 2):
+    if inputs["experiment"] in ("evolve", "gw-angles"):
+        for j in range(inputs["steps"] + 2):
             geometry.gw_angles(gw, j * params.epsilon)
 
-    config.resolved = {
-        "experiment": experiment,
-        "lattice": list(lattice),
-        "params": {"epsilon": params.epsilon, "m": params.mass, "xi": params.xi},
-        "gw": {"F": gw_spec.get("F", {"kind": "constant", "amplitude": 0.0}),
-               "G": gw_spec.get("G", {"kind": "constant", "amplitude": 1.0}),
-               "K": gw.k, "K_prime": gw.k_prime},
-        "resolution": resolution, "threads": threads, "steps": steps,
-        "q": q, "epsilons": list(epsilons),
-        "q_list": list(q_list) if q_list else None,
-        "figures": list(figures), "out_dir": str(out_dir),
-    }
-    return config
+    carried = {f.name: inputs[f.name] for f in fields(RunConfig) if f.name in inputs}
+    return RunConfig(**{**carried, "params": params, "gw": gw,
+                        "out_dir": Path(inputs["out_dir"]), "resolved": inputs})
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +356,11 @@ _RUNNERS = {
 
 
 def run(config: RunConfig) -> int:
-    """Execute the configured experiment; removes partial outputs on failure.
+    """Execute the configured experiment; removes its outputs on failure.
 
-    An earlier run's manifest is deleted first, so a failed run never leaves
-    one that disagrees with the files beside it.
+    An earlier run's manifest is deleted first and the new one is written
+    last, whole or not at all, so a failed run never leaves one that
+    disagrees with the files beside it.
     """
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -377,6 +369,16 @@ def run(config: RunConfig) -> int:
     metrics: dict = {}
     try:
         _RUNNERS[config.experiment](config, out, artifacts, metrics)
+        manifest = {
+            "experiment": config.experiment,
+            "inputs": config.resolved,
+            "outputs": [{"path": Path(p).name, "sha256": sha256_file(p), "rows": rows}
+                        for p, rows in artifacts],
+            "metrics": metrics,
+        }
+        with replacing(out / "manifest.json", "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     except BaseException:
         for path, _ in artifacts:
             try:
@@ -384,16 +386,6 @@ def run(config: RunConfig) -> int:
             except OSError:
                 pass
         raise
-    manifest = {
-        "experiment": config.experiment,
-        "inputs": config.resolved,
-        "outputs": [{"path": Path(p).name, "sha256": sha256_file(p), "rows": rows}
-                    for p, rows in artifacts],
-        "metrics": metrics,
-    }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     return 0
 
 

@@ -247,28 +247,35 @@ def write_csv(path, header, rows) -> int:
     """Write rows, or a ``grid_rows`` grid, under a header; returns the row count.
 
     Every value is written as ``%.17g`` (reals keep 17 digits, integers stay
-    integers) to a sibling temporary file that replaces ``path`` only once
-    complete, so a failure leaves neither a truncated file nor the temporary one.
+    integers), through ``replacing``: a failure leaves no partial file.
     """
     grid = isinstance(rows, Grid)
     if grid and len(header) != 2 + len(rows.fields):
         raise ValueError(f"header {header} does not fit {len(rows.fields)} grid fields")
     template = b",".join([b"%.17g"] * len(header)) + b"\n"
     chunks = rows.chunks() if grid else ((template % tuple(row), 1) for row in rows)
-    tmp = f"{os.fspath(path)}.tmp"
     count = 0
+    with replacing(path) as fh:
+        fh.write(",".join(header).encode() + b"\n")
+        for text, n in chunks:
+            fh.write(text)
+            count += n
+    return count
+
+
+@contextlib.contextmanager
+def replacing(path, mode: str = "wb"):
+    """A sibling temporary file that replaces ``path`` if the block completes
+    and is removed if it fails."""
+    tmp = f"{os.fspath(path)}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(",".join(header).encode() + b"\n")
-            for text, n in chunks:
-                fh.write(text)
-                count += n
+        with open(tmp, mode) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
-    return count
 
 
 def grid_rows(*fields, axes=None) -> Grid:

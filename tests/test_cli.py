@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gwalk import continuum, geometry, walk
+from gwalk import cli, continuum, geometry, walk
 from gwalk.cli import main, parse_config, run
 from gwalk.csvio import read_csv, sha256_file
 from gwalk.errors import ConfigurationError
@@ -64,6 +66,69 @@ class TestParseConfig:
         assert cfg.params.epsilon == 0.5
         assert cfg.params.mass == 0.1
         assert cfg.params.xi == 0.25
+
+
+#: every config key set to a value other than its default
+FULL_CONFIG = {"experiment": "spectrum", "lattice": [32, 16],
+               "params": {"epsilon": 0.5, "m": 0.1, "xi": 1e-3},
+               "gw": {"F": {"kind": "sine", "amplitude": 0.5, "omega": 0.2},
+                      "G": {"kind": "constant", "amplitude": 0.7},
+                      "K": 1, "K_prime": 1.5},
+               "resolution": 16, "steps": 8, "threads": 2, "q": 1.5,
+               "epsilons": [0.2, 0.1], "out_dir": "out"}
+
+
+def schema_paths(schema, prefix=()):
+    """Every key path of a config table."""
+    for key, spec in schema.items():
+        yield prefix + (key,)
+        if isinstance(spec, dict):
+            yield from schema_paths(spec, prefix + (key,))
+
+
+#: every path of the config table, and the keys of FULL_CONFIG's waveforms
+PATHS = [*schema_paths(cli._SCHEMA),
+         ("gw", "F", "kind"), *schema_paths(cli._WAVEFORMS["sine"], ("gw", "F")),
+         ("gw", "G", "kind"), *schema_paths(cli._WAVEFORMS["constant"], ("gw", "G"))]
+
+
+SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+           | st.sampled_from([10 ** 400, -10 ** 400]) | st.text(max_size=8))
+JSON_VALUES = SCALARS | st.recursive(
+    SCALARS, lambda inner: (st.lists(inner, max_size=3)
+                            | st.dictionaries(st.text(max_size=8), inner, max_size=3)),
+    max_leaves=6)
+
+
+@pytest.mark.parametrize("path", PATHS, ids=".".join)
+@settings(max_examples=25)
+@given(value=JSON_VALUES)
+def test_any_json_value_at_any_key_is_a_config_or_a_config_error(
+        tmp_path_factory, path, value):
+    payload = json.loads(json.dumps(FULL_CONFIG))
+    target = payload
+    for part in path[:-1]:
+        target = target[part]
+    target[path[-1]] = value
+    config = write_config(tmp_path_factory.mktemp("config"), payload)
+    try:
+        parse_config(config)
+    except ConfigurationError:
+        pass
+
+
+def test_manifest_inputs_of_a_full_config(tmp_path):
+    out = tmp_path / "out"
+    assert run(parse_config(None, {**FULL_CONFIG, "out_dir": str(out)})) == 0
+    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+    assert inputs == {
+        "epsilons": [0.2, 0.1], "experiment": "spectrum",
+        "gw": {"F": {"amplitude": 0.5, "kind": "sine", "omega": 0.2},
+               "G": {"amplitude": 0.7, "kind": "constant"},
+               "K": 1.0, "K_prime": 1.5},
+        "lattice": [32, 16], "out_dir": str(out),
+        "params": {"epsilon": 0.5, "m": 0.1, "xi": 0.001}, "q": 1.5,
+        "resolution": 16, "steps": 8, "threads": 2}
 
 
 class TestRuns:
@@ -321,7 +386,7 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("key", [
         ("params", "epsilon"), ("params", "m"), ("params", "xi"),
         ("gw", "F"), ("gw", "G", "amplitude"), ("gw", "G", "omega"),
-        ("gw", "K"), ("gw", "K_prime"), ("q",), ("epsilons", 1), ("q_list", 1)],
+        ("gw", "K"), ("gw", "K_prime"), ("q",), ("epsilons", 1)],
         ids=lambda key: ".".join(map(str, key)))
     def test_non_finite_config_number_is_2(self, tmp_path, capsys, key, value):
         payload = {"experiment": "gw-angles", "steps": 3,
@@ -329,7 +394,7 @@ class TestMainExitCodes:
                    "gw": {"F": 0.5, "G": {"kind": "sine", "amplitude": 1.0,
                                           "omega": 0.3},
                           "K": 1.0, "K_prime": 1.0},
-                   "q": 1.0, "epsilons": [0.2, 0.1], "q_list": [1.0, 2.0],
+                   "q": 1.0, "epsilons": [0.2, 0.1],
                    "out_dir": str(tmp_path / "out")}
         target = payload
         for part in key[:-1]:
@@ -339,6 +404,50 @@ class TestMainExitCodes:
         assert main(["--config", write_config(tmp_path, payload)]) == 2
         assert "must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [("q_list", [1.0, 2.0]),
+                                            ("figures", ["fig1"])],
+                             ids=["q_list", "figures"])
+    def test_deleted_key_is_2(self, tmp_path, capsys, key, value):
+        payload = {"experiment": "spectrum", "resolution": 8, key: value,
+                   "out_dir": str(tmp_path / "out")}
+        assert main(["--config", write_config(tmp_path, payload)]) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case, key", [
+        ({"epsilons": 3}, "epsilons"), ({"q_list": 5}, "q_list"),
+        ({"figures": 5}, "figures"), ({"params": 5}, "params"),
+        ({"gw": "x"}, "gw"), ({"out_dir": 5}, "out_dir"),
+        ({"out_dir": ["a"]}, "out_dir"),
+        ({"gw": {"F": {"kind": ["sine"]}}}, "gw.F"),
+        ({"params": [["epsilon", 2]]}, "params"), ({"q": True}, "q"),
+        ({"gw": {"F": True}}, "gw.F"), ({"resolution": True}, "resolution"),
+        ({"q": 10 ** 400}, "q")],
+        ids=["epsilons-number", "q_list-number", "figures-number",
+             "params-number", "gw-string", "out_dir-number", "out_dir-list",
+             "gw.F.kind-list", "params-pairs", "q-bool", "gw.F-bool",
+             "resolution-bool", "q-past-float-range"])
+    def test_malformed_config_is_2_naming_the_key(self, tmp_path, monkeypatch,
+                                                  capsys, case, key):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("GWALK_OUT", raising=False)
+        payload = {"experiment": "spectrum", "resolution": 8, **case}
+        assert main(["--config", write_config(tmp_path, payload)]) == 2
+        assert key in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_failed_manifest_write_leaves_no_manifest(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        assert main(["--experiment", "unaffected-modes", "--out", str(out)]) == 0
+
+        def half_written(obj, fh, **kwargs):
+            fh.write('{"experiment": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", half_written)
+        assert main(["--experiment", "unaffected-modes", "--out", str(out)]) == 3
+        assert list(out.iterdir()) == []
 
     def test_env_var_default_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GWALK_OUT", str(tmp_path / "envout"))
