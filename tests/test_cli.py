@@ -386,7 +386,7 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("key", [
         ("params", "epsilon"), ("params", "m"), ("params", "xi"),
         ("gw", "F"), ("gw", "G", "amplitude"), ("gw", "G", "omega"),
-        ("gw", "K"), ("gw", "K_prime"), ("q",), ("epsilons", 1)],
+        ("gw", "K"), ("gw", "K_prime"), ("q",), ("epsilons", 1), ("q_list", 1)],
         ids=lambda key: ".".join(map(str, key)))
     def test_non_finite_config_number_is_2(self, tmp_path, capsys, key, value):
         payload = {"experiment": "gw-angles", "steps": 3,
@@ -396,13 +396,18 @@ class TestMainExitCodes:
                           "K": 1.0, "K_prime": 1.0},
                    "q": 1.0, "epsilons": [0.2, 0.1],
                    "out_dir": str(tmp_path / "out")}
+        message = "must be a finite number"
+        if key[0] == "q_list":
+            # q_list is no longer a config key: it is rejected by name
+            payload["q_list"] = [1.0, 2.0]
+            message = "unknown key 'q_list'"
         target = payload
         for part in key[:-1]:
             target = target[part]
         target[key[-1]] = value
         # json writes the non-finite floats as NaN, Infinity and -Infinity
         assert main(["--config", write_config(tmp_path, payload)]) == 2
-        assert "must be a finite number" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value", [("q_list", [1.0, 2.0]),
