@@ -36,13 +36,17 @@ NORM_DRIFT_TOL = 1e-10
 # config kinds: each checks a value named ``name`` and returns it resolved
 # ---------------------------------------------------------------------------
 
-def _finite(value, name: str, positive: bool = False) -> float:
-    """A number, finite as a float; a bool is not a number."""
+#: the lower bounds a finite number may take, by the word that names them
+_BOUNDS = {"positive": (0.0).__lt__, "nonnegative": (0.0).__le__}
+
+
+def _finite(value, name: str, bound: str | None = None) -> float:
+    """A number, finite as a float, within ``bound``; a bool is not a number."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not abs(value) <= sys.float_info.max):
         raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
-    if positive and not value > 0:
-        raise ConfigurationError(f"{name} must be positive, got {value!r}")
+    if bound and not _BOUNDS[bound](value):
+        raise ConfigurationError(f"{name} must be {bound}, got {value!r}")
     return float(value)
 
 
@@ -50,10 +54,10 @@ def _optional(value, name: str, kind, *constraint):
     return None if value is None else kind(value, name, *constraint)
 
 
-def _finite_list(value, name: str, positive: bool = False) -> tuple[float, ...]:
+def _finite_list(value, name: str, bound: str | None = None) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigurationError(f"{name} must be a non-empty list, got {value!r}")
-    return tuple(_finite(v, name, positive) for v in value)
+    return tuple(_finite(v, name, bound) for v in value)
 
 
 def _integer(value, name: str, minimum: int) -> int:
@@ -96,7 +100,17 @@ def _wave(spec, name: str):
     kind = _choice(spec.get("kind"), f"{name}.kind", tuple(_WAVEFORMS))
     wave = _resolve(_WAVEFORMS[kind], {k: v for k, v in spec.items() if k != "kind"}, name)
     amp, omega = wave["amplitude"], wave.get("omega")
-    return amp if kind == "constant" else lambda t: amp * math.sin(omega * t)
+    if kind == "constant":
+        return amp
+
+    def sine(t):
+        phase = omega * t
+        if not math.isfinite(phase):
+            raise ConfigurationError(
+                f"{name}: the phase omega*T overflows at T = {t:g} (omega = {omega:g})")
+        return amp * math.sin(phase)
+
+    return sine
 
 
 def _waveform(spec, name: str):
@@ -110,7 +124,8 @@ def _waveform(spec, name: str):
 _SCHEMA = {
     "experiment": (_choice, None, EXPERIMENTS),
     "lattice": (_even_pair, (64, 64)),
-    "params": {"epsilon": (_finite, 1.0, True), "m": (_finite, 0.0), "xi": (_finite, 1e-4)},
+    "params": {"epsilon": (_finite, 1.0, "positive"), "m": (_finite, 0.0, "nonnegative"),
+               "xi": (_finite, 1e-4)},
     "gw": {"F": (_waveform, {"kind": "constant", "amplitude": 0.0}),
            "G": (_waveform, {"kind": "constant", "amplitude": 1.0}),
            "K": (_finite, 0.0), "K_prime": (_finite, 0.0)},
@@ -118,8 +133,8 @@ _SCHEMA = {
     "steps": (_integer, 16, 0),
     # accepted and recorded so older configs keep running; it has no effect
     "threads": (_integer, 1, 1),
-    "q": (_optional, None, _finite, True),
-    "epsilons": (_finite_list, (0.2, 0.1, 0.05, 0.025), True),
+    "q": (_optional, None, _finite, "positive"),
+    "epsilons": (_finite_list, (0.2, 0.1, 0.05, 0.025), "positive"),
     "out_dir": (_directory, None),
 }
 

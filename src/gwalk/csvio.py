@@ -4,6 +4,13 @@ Grids are formatted by a numpy kernel that gives the bytes of ``b"%.17g" % x``
 for whole float64 blocks (``_format17``): the exact 17-digit decimal comes
 from the binary mantissa times a power of five in 28-bit limbs, its digits
 from a 4-digit table, and the ``%g`` layout from one table of byte offsets.
+
+A grid is written in blocks of first-axis rows.  Where the two halves of
+every row of a block hold the same bits, as in a grid sampled on a periodic
+cell and tiled (``spectral.SpectrumGrid``), the kernel formats the first
+halves only and their bytes are copied into the second: the same bytes as
+formatting every value, for half the work.  Each kernel call still takes
+about ``_BLOCK`` values, as smaller calls cost more per value.
 """
 
 from __future__ import annotations
@@ -198,7 +205,7 @@ def _format17(values, sep: bytes, out) -> None:
 # writer
 # ---------------------------------------------------------------------------
 
-#: values formatted per block of grid lines
+#: values formatted per ``_format17`` call
 _BLOCK = 1024
 
 
@@ -213,7 +220,8 @@ def _texts(values, sep: bytes, right: bool) -> np.ndarray:
 
 class Grid(namedtuple("Grid", "fields axes")):
     """2D fields of one shape and their axes.  ``chunks`` formats each axis
-    value once and yields (bytes, rows) per block of first-axis rows."""
+    value once, and each block's repeated half rows once (module docstring),
+    and yields (bytes, rows) per kernel call's rows."""
 
     def chunks(self):
         n1, n2 = len(self.axes[0]), len(self.axes[1])
@@ -228,19 +236,38 @@ class Grid(namedtuple("Grid", "fields axes")):
         xs = _texts(self.axes[0], b",", right=True)
         ys = _texts(self.axes[1], b",", right=False)
         seps = [b","] * (len(self.fields) - 1) + [b"\n"]
-        rows = max(1, _BLOCK // n2)
+        rows = max(1, _BLOCK // n2)         # first-axis rows per format call
+        half = 0 if n2 % 2 else n2 // 2
+        span = 2 * rows if half else rows   # first-axis rows per block
         wx, wy = xs.shape[1], ys.shape[1]
-        lines = np.empty((rows * n2, wx + wy + _WIDTH * len(seps)), np.uint8)
-        lines.reshape(rows, n2, -1)[:, :, wx:wx + wy] = ys
-        for start in range(0, n1, rows):
-            stop = min(start + rows, n1)
+        lines = np.empty((span * n2, wx + wy + _WIDTH * len(seps)), np.uint8)
+        lines.reshape(span, n2, -1)[:, :, wx:wx + wy] = ys
+        texts = np.empty((rows * n2, _WIDTH), np.uint8)     # a block's half rows
+        for start in range(0, n1, span):
+            stop = min(start + span, n1)
             block = lines[:(stop - start) * n2]
             block.reshape(stop - start, n2, -1)[:, :, :wx] = xs[start:stop, None]
             for i, (f, sep) in enumerate(zip(self.fields, seps)):
                 col = wx + wy + _WIDTH * i
-                values = np.asarray(f[start:stop], dtype=np.float64).ravel()
-                _format17(values, sep, block[:, col:col + _WIDTH])
-            yield block.tobytes().translate(None, b"\0"), len(block)
+                values = np.asarray(f[start:stop], dtype=np.float64)
+                bits = values.view(np.int64)
+                # the same bits in both halves of every row (-0.0 is not 0.0);
+                # numpy's array_equal would map about 0.3 MiB more of its code
+                if half and not np.bitwise_or.reduce(bits[:, :half] - bits[:, half:],
+                                                     axis=None):
+                    first = values[:, :half]
+                    text = texts[:first.size]
+                    _format17(first.ravel(), sep, text)
+                    out = block.reshape(stop - start, n2, -1)[:, :, col:col + _WIDTH]
+                    out[:, :half] = out[:, half:] = text.reshape(first.shape + (_WIDTH,))
+                    continue
+                for s in range(0, stop - start, rows):
+                    _format17(values[s:s + rows].ravel(), sep,
+                              block[s * n2:(s + rows) * n2, col:col + _WIDTH])
+            # one format call's lines per chunk: larger chunks raise peak RSS
+            for s in range(0, len(block), rows * n2):
+                part = block[s:s + rows * n2]
+                yield part.tobytes().translate(None, b"\0"), len(part)
 
 
 def write_csv(path, header, rows) -> int:

@@ -355,11 +355,27 @@ class SpectrumGrid:
     def sample(cls, fn: Callable, resolution: int, kind: str) -> "SpectrumGrid":
         """Evaluate fn(qX, qY) one qX row at a time, the row's scalar qX
         broadcast against the qY axis, into a preallocated grid, so no
-        full-grid coordinate or temporary arrays are built."""
+        full-grid coordinate or temporary arrays are built.
+
+        ``fn`` must be 2π-periodic in each axis, as ``rho`` is.  For even
+        ``resolution`` the axis point i + n/2 is point i moved by 2π, so only
+        the cell [-2π, 0)², ``ax[:n/2]`` on both axes, is evaluated: each
+        cell row is copied into its qY translate and then into its qX
+        translate, row by row, which makes the grid exactly periodic.  An odd
+        ``resolution`` has no translate on the grid and evaluates every row.
+        """
         ax = -TWO_PI + 2 * TWO_PI * np.arange(resolution) / resolution
         values = np.empty((resolution, resolution))
-        for i, x in enumerate(ax):
-            values[i] = fn(x, ax)
+        if resolution % 2:
+            for i, x in enumerate(ax):
+                values[i] = fn(x, ax)
+        else:
+            half = resolution // 2
+            cell = ax[:half]
+            for i, x in enumerate(cell):
+                values[i, :half] = fn(x, cell)
+                values[i, half:] = values[i, :half]
+                values[i + half] = values[i]
         return cls(ax, ax.copy(), values, kind)
 
     def to_csv(self, path) -> int:

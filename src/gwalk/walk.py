@@ -619,6 +619,21 @@ class _Run(NamedTuple):
     max_abs_t_eps: float
 
 
+#: where the real-space loop's field, spare and scratch buffers start in a
+#: 4 KiB page, in bytes (measured on evolve-field)
+_PAGE_OFFSETS = (2048, 1024, 0)
+
+
+def _paged(shape, offset: int) -> np.ndarray:
+    """An uninitialised complex array starting ``offset`` bytes into a page.
+    The allocator's own placement of large arrays depends on what was
+    allocated before, and the step's speed on the buffers' offsets."""
+    size = 16 * int(np.prod(shape))
+    raw = np.empty(size + 4096, np.uint8)
+    start = (offset - raw.ctypes.data) % 4096
+    return raw[start:start + size].view(complex).reshape(shape)
+
+
 def _time_loop(field: SpinorField, j0: int, steps: int, provider: AngleProvider,
                params: WalkParams) -> _Run:
     """`steps` walk steps from time j0, reading each of the slices j0 ..
@@ -630,8 +645,9 @@ def _time_loop(field: SpinorField, j0: int, steps: int, provider: AngleProvider,
     margins = []
     gate_lists = _step_gate_lists(provider, j0, steps, field.shape, params, margins)
     if steps == 0 or not provider.uniform_in_space:
-        src = field.data.copy()
-        spare, scratch = np.empty_like(src), np.empty(src[0].size, dtype=complex)
+        src, spare, scratch = (_paged(shape, offset) for shape, offset in zip(
+            (field.data.shape, field.data.shape, field.data[0].size), _PAGE_OFFSETS))
+        src[...] = field.data
         phase, norms = (1, 1), []
         for gates in gate_lists:
             src, spare, phase = _apply(src, spare, scratch, _fused(gates), phase)

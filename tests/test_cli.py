@@ -381,6 +381,20 @@ class TestMainExitCodes:
         assert "T=0 (j=0)" in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []
 
+    @pytest.mark.parametrize("experiment", ["gw-angles", "evolve"])
+    @pytest.mark.parametrize("key", ["F", "G"])
+    def test_sine_phase_that_overflows_is_2_naming_the_wave_and_time(
+            self, tmp_path, capsys, experiment, key):
+        # omega is finite, but omega * T overflows to inf from T = 2 on
+        payload = {"experiment": experiment, "lattice": [8, 8], "steps": 3,
+                   "params": {"epsilon": 2},
+                   "gw": {key: {"kind": "sine", "amplitude": 1, "omega": 1e308}},
+                   "out_dir": str(tmp_path / "out")}
+        assert main(["--config", write_config(tmp_path, payload)]) == 2
+        err = capsys.readouterr().err
+        assert f"gw.{key}: the phase omega*T overflows at T = 2 " in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
                              ids=["NaN", "Infinity", "-Infinity"])
     @pytest.mark.parametrize("key", [
@@ -428,11 +442,11 @@ class TestMainExitCodes:
         ({"gw": {"F": {"kind": ["sine"]}}}, "gw.F"),
         ({"params": [["epsilon", 2]]}, "params"), ({"q": True}, "q"),
         ({"gw": {"F": True}}, "gw.F"), ({"resolution": True}, "resolution"),
-        ({"q": 10 ** 400}, "q")],
+        ({"q": 10 ** 400}, "q"), ({"params": {"m": -1}}, "params.m")],
         ids=["epsilons-number", "q_list-number", "figures-number",
              "params-number", "gw-string", "out_dir-number", "out_dir-list",
              "gw.F.kind-list", "params-pairs", "q-bool", "gw.F-bool",
-             "resolution-bool", "q-past-float-range"])
+             "resolution-bool", "q-past-float-range", "params.m-negative"])
     def test_malformed_config_is_2_naming_the_key(self, tmp_path, monkeypatch,
                                                   capsys, case, key):
         monkeypatch.chdir(tmp_path)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -190,6 +191,45 @@ def test_grid_writes_the_bytes_of_its_rows_across_magnitudes(tmp_path_factory, c
     assert (out / "grid.csv").read_bytes() == (out / "rows.csv").read_bytes()
 
 
+@st.composite
+def half_rows(draw, n1, half, odd):
+    """An (n1, 2 half) field whose rows repeat their first half exactly or
+    with one site one ulp away; with ``odd`` one more column follows."""
+    first = draw(hnp.arrays(np.float64, (n1, half), elements=FLOATS))
+    second = first.copy()
+    if draw(st.booleans()):
+        site = draw(st.integers(0, n1 - 1)), draw(st.integers(0, half - 1))
+        second[site] = np.nextafter(second[site], draw(st.sampled_from([-np.inf, np.inf])))
+    return np.concatenate([first, second] + [first[:, :1]] * odd, axis=1)
+
+
+def write_with_block(path, fields, block):
+    """``write_csv`` of a grid, formatting ``block`` values per kernel call:
+    a small block puts many blocks, repeated and not, in one grid."""
+    header = ["x", "y"] + [f"f{i}" for i in range(len(fields))]
+    with mock.patch.object(csvio, "_BLOCK", block):
+        write_csv(path, header, grid_rows(*fields))
+    write_csv(path.with_suffix(".rows"), header, oracle_grid_rows(*fields))
+    return path.read_bytes(), path.with_suffix(".rows").read_bytes()
+
+
+@given(st.data(), st.integers(1, 12), st.integers(1, 6), st.booleans(), st.integers(1, 16))
+def test_grid_with_repeated_half_rows_writes_the_bytes_of_percent(
+        tmp_path_factory, data, n1, half, odd, block):
+    fields = [data.draw(half_rows(n1, half, odd)) for _ in range(data.draw(st.integers(1, 2)))]
+    grid, rows = write_with_block(tmp_path_factory.mktemp("halves") / "grid.csv", fields, block)
+    assert grid == rows
+
+
+def test_signed_zeros_do_not_repeat_a_half_row(tmp_path):
+    # -0.0 == 0.0 but prints differently; equal NaN bits print alike
+    fields = [np.array([[0.0, 2.5, -0.0, 2.5]] * 3),
+              np.array([[np.nan, -0.0, np.nan, -0.0]] * 3)]
+    grid, rows = write_with_block(tmp_path / "grid.csv", fields, 4)
+    assert grid == rows
+    assert grid.splitlines()[1:4] == [b"0,0,0,nan", b"0,1,2.5,-0", b"0,2,-0,nan"]
+
+
 def test_grid_write_working_memory_stays_below_the_grid(tmp_path):
     rng = np.random.default_rng(1)
     values = rng.standard_normal((256, 256)) * 10.0 ** rng.integers(-40, 16, (256, 256))
@@ -202,10 +242,11 @@ def test_grid_write_working_memory_stays_below_the_grid(tmp_path):
     assert peak < 0.8 * values.nbytes
 
 
-#: SHA-256 of outputs written by the per-row ``%`` writer this kernel replaced
+#: SHA-256 of outputs written by the per-row ``%`` writer this kernel replaced;
+#: the spectrum's is of ``b"%.17g" % x`` rows of the periodic grid's values
 PINNED = {
     "spectrum": ({"experiment": "spectrum", "resolution": 64}, "rho.csv",
-                 "7eee1ba12f15e28bbb4ae83d20a86e74e05b46307999d6ac6c653d8bfe2e4322"),
+                 "46c6c3850f754ca033aeaefc96b70a9d655480dfaa515ad3c539322fc358d6a9"),
     "evolve": ({"experiment": "evolve", "lattice": [32, 32], "steps": 12,
                 "params": {"epsilon": 1.0, "m": 0.2, "xi": 0.03},
                 "gw": {"F": {"kind": "sine", "amplitude": 1.0, "omega": 0.2},

@@ -504,9 +504,36 @@ class TestSpectrumGrid:
 
     @pytest.mark.parametrize("resolution", [8, 1024])
     def test_sample_with_a_scalar_row_equals_the_full_row_evaluation(self, resolution):
-        # the grid hands rho each row's qX as a scalar; broadcast against the
-        # qY axis it gives the same floats as a row of repeated qX
+        # the grid hands rho each cell row's qX as a scalar; broadcast against
+        # the cell's qY axis it gives the same floats as a row of repeated qX
         grid = SpectrumGrid.sample(rho, resolution, "rho")
-        ax = grid.qy
-        full = np.stack([rho(np.full(resolution, x), ax) for x in grid.qx])
-        assert np.array_equal(grid.values, full)
+        cell = grid.qy[:resolution // 2]
+        full = np.stack([rho(np.full(cell.size, x), cell) for x in cell])
+        assert np.array_equal(grid.values[:cell.size, :cell.size], full)
+
+    @pytest.mark.parametrize("resolution", [8, 64, 1024])
+    def test_even_grid_is_exactly_periodic_and_near_direct_evaluation(self, resolution):
+        grid = SpectrumGrid.sample(rho, resolution, "rho")
+        half = resolution // 2
+        assert np.array_equal(grid.values[half:], grid.values[:half])
+        assert np.array_equal(grid.values[:, half:], grid.values[:, :half])
+        direct = np.stack([rho(x, grid.qy) for x in grid.qx])
+        # the translates differ from their own evaluation in the last bits
+        assert np.abs(grid.values - direct).max() <= 1e-14
+
+    def test_odd_grid_equals_direct_evaluation(self):
+        # no 2pi translate falls on an odd grid: every row is evaluated
+        grid = SpectrumGrid.sample(rho, 63, "rho")
+        direct = np.stack([rho(x, grid.qy) for x in grid.qx])
+        assert np.array_equal(grid.values, direct)
+
+    @pytest.mark.parametrize("resolution, rows, width", [(8, 4, 4), (7, 7, 7)])
+    def test_even_grid_evaluates_the_cell_only(self, resolution, rows, width):
+        calls = []
+
+        def fn(x, y):
+            calls.append((float(x), len(y)))
+            return rho(x, y)
+
+        grid = SpectrumGrid.sample(fn, resolution, "rho")
+        assert calls == [(x, width) for x in grid.qx[:rows].tolist()]
