@@ -267,9 +267,8 @@ def _run_interference(cfg: RunConfig, out: Path, artifacts: list, metrics: dict)
 
 
 def _run_deltam_sweep(cfg: RunConfig, out: Path, artifacts: list, metrics: dict):
-    qs = np.linspace(0.0, math.pi, cfg.resolution, endpoint=False).tolist()
-    rows = [(q, interference.delta_max(q), interference.delta_max_integer(q))
-            for q in qs]
+    rows = interference.deltam_rows(
+        np.linspace(0.0, math.pi, cfg.resolution, endpoint=False))
     path = out / "deltam_sweep.csv"
     artifacts.append((path, write_csv(
         path, ["q", "deltaM_continuous", "deltaM_integer"], rows)))

@@ -77,9 +77,14 @@ def initial_density_formula(q: float, u) -> np.ndarray:
 
 def delta_formula(q: float, u) -> np.ndarray:
     """Closed-form relative density change per unit wave amplitude."""
+    return _delta_over_sin2(q, u) * np.sin(q) ** 2
+
+
+def _delta_over_sin2(q, u) -> np.ndarray:
+    """:func:`delta_formula` without its factor sin(q)^2; q broadcasts with u."""
     u = np.asarray(u, dtype=float)
     n0 = initial_density_formula(q, u)
-    return (2.0 * _SQRT2 / n0) * np.cos(q * (u - 2.0) / 2.0) * np.sin(q) ** 2
+    return (2.0 * _SQRT2 / n0) * np.cos(q * (u - 2.0) / 2.0)
 
 
 @dataclass
@@ -178,19 +183,65 @@ def delta_max(q: float) -> float:
     return 2.0 * _SQRT2 * s2 * root / (2.0 - _SQRT2 * abs(math.cos(q)) * root - s2)
 
 
-def delta_max_integer(q: float) -> float:
+#: offsets evaluated in one array pass of :func:`delta_max_integer`
+_OFFSETS_PER_PASS = 1 << 16
+
+
+def delta_max_integer(q):
     """max over integer offsets u covering one period of |delta(q, u)|.
 
     Lattice-independent lower bound on what a finite lattice realizes; a
     lattice whose wavenumber period does not divide its size samples more
     phases and can get closer to :func:`delta_max`.
+
+    ``q`` is a number, which gives a float, or a 1-D array, which gives an
+    array of the same length; every entry must lie in [0, pi), and q = 0
+    gives 0.  Each q's offsets 0 .. ceil(4 pi / q) are laid end to end and
+    evaluated in passes of at most ``_OFFSETS_PER_PASS`` offsets, each q's
+    maximum taken with ``np.maximum.reduceat``, so the working arrays keep
+    that size however many q there are and however long one period is.
+    Beyond them it holds a few numbers per q.  sin(q)^2 is taken per q
+    with C ``pow``, as ``delta_formula`` takes it on a scalar: an array's
+    ``** 2`` squares, which can differ in the last bit.
     """
-    if q == 0.0:
-        return 0.0
-    if not 0.0 < q < math.pi:
-        raise ConfigurationError(f"q must lie in [0, pi), got {q!r}")
-    n = int(math.ceil(4.0 * math.pi / q)) + 1
-    return float(np.abs(delta_formula(q, np.arange(n))).max())
+    qs = np.asarray(q, dtype=float)
+    if qs.ndim > 1:
+        raise ConfigurationError(f"q must be a number or a 1-D array, got shape {qs.shape}")
+    flat = qs.reshape(-1)
+    bad = ~((flat >= 0.0) & (flat < math.pi))
+    if bad.any():
+        raise ConfigurationError(f"q must lie in [0, pi), got {float(flat[bad][0])!r}")
+    with np.errstate(divide="ignore", over="ignore"):
+        periods = np.where(flat > 0.0, np.ceil(4.0 * math.pi / flat), 0.0)
+    if periods.size and not periods.max() < 2.0 ** 53:
+        raise ConfigurationError(
+            f"q = {float(flat[periods.argmax()])!r} is too small: one period has "
+            "more integer offsets than a float counts exactly")
+    counts = periods.astype(np.int64) + 1
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    sin2 = np.array([s ** 2 for s in np.sin(flat).tolist()])
+    best = np.zeros(flat.size)
+    total = int(counts.sum())
+    for lo in range(0, total, _OFFSETS_PER_PASS):
+        hi = min(lo + _OFFSETS_PER_PASS, total)
+        # the q whose offsets overlap [lo, hi), and where each one's part starts
+        first, last = np.searchsorted(ends, lo, "right"), np.searchsorted(starts, hi)
+        parts = np.maximum(starts[first:last], lo)
+        which = np.repeat(np.arange(first, last),
+                          np.minimum(ends[first:last], hi) - parts)
+        u = (np.arange(lo, hi) - starts[which]).astype(float)
+        values = np.abs(_delta_over_sin2(flat[which], u) * sin2[which])
+        part_max = np.maximum.reduceat(values, parts - lo)
+        np.maximum(best[first:last], part_max, out=best[first:last])
+    return float(best[0]) if qs.ndim == 0 else best
+
+
+def deltam_rows(qs) -> list[tuple[float, float, float]]:
+    """The rows (q, deltaM_continuous, deltaM_integer) of a sweep over ``qs``."""
+    qs = np.asarray(qs, dtype=float)
+    q_list = qs.tolist()
+    return list(zip(q_list, map(delta_max, q_list), delta_max_integer(qs).tolist()))
 
 
 def delta_max_peak(resolution: int = 2048) -> tuple[float, float]:
@@ -216,7 +267,18 @@ def figure_tables(out_dir, figures=("fig1", "fig2", "fig3", "fig4"),
     list of q values (q, u, delta); fig4: the maximum response over
     [0, pi) with both real-u and integer-u columns
     (q, deltaM_continuous, deltaM_integer).
+
+    The sizes are checked as the CLI checks its own: ``resolution`` >= 2,
+    ``lattice`` positive and even, ``sweep_resolution`` >= 0; anything else
+    raises ``ConfigurationError`` naming the argument.
     """
+    for name, value, minimum in (("resolution", resolution, 2), ("lattice", lattice, 2),
+                                 ("sweep_resolution", sweep_resolution, 0)):
+        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                or value < minimum):
+            raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if lattice % 2:
+        raise ConfigurationError(f"lattice must be even, got {lattice!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
@@ -252,8 +314,7 @@ def figure_tables(out_dir, figures=("fig1", "fig2", "fig3", "fig4"),
         written["fig3"] = path
 
     if "fig4" in figures:
-        qs = np.linspace(0.0, math.pi, sweep_resolution, endpoint=False).tolist()
-        rows = [(q, delta_max(q), delta_max_integer(q)) for q in qs]
+        rows = deltam_rows(np.linspace(0.0, math.pi, sweep_resolution, endpoint=False))
         path = out / "fig4_deltam.csv"
         csvio.write_csv(path, ["q", "deltaM_continuous", "deltaM_integer"], rows)
         written["fig4"] = path

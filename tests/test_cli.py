@@ -100,12 +100,9 @@ JSON_VALUES = SCALARS | st.recursive(
     max_leaves=6)
 
 
-@pytest.mark.parametrize("path", PATHS, ids=".".join)
-@settings(max_examples=25)
-@given(value=JSON_VALUES)
-def test_any_json_value_at_any_key_is_a_config_or_a_config_error(
-        tmp_path_factory, path, value):
-    payload = json.loads(json.dumps(FULL_CONFIG))
+def parse_with(tmp_path_factory, base, path, value):
+    """Parse ``base`` with ``value`` at ``path``; a config error is an answer."""
+    payload = json.loads(json.dumps(base))
     target = payload
     for part in path[:-1]:
         target = target[part]
@@ -115,6 +112,27 @@ def test_any_json_value_at_any_key_is_a_config_or_a_config_error(
         parse_config(config)
     except ConfigurationError:
         pass
+
+
+@pytest.mark.parametrize("path", PATHS, ids=".".join)
+@settings(max_examples=25)
+@given(value=JSON_VALUES)
+def test_any_json_value_at_any_key_is_a_config_or_a_config_error(
+        tmp_path_factory, path, value):
+    parse_with(tmp_path_factory, FULL_CONFIG, path, value)
+
+
+#: the wave and walk paths, which a gw-angles config also evaluates over time
+#: in the sign-condition loop; ``steps`` is left out, the loop runs steps + 2 times
+WAVE_PATHS = [path for path in PATHS if path[0] in ("gw", "params")]
+
+
+@pytest.mark.parametrize("path", WAVE_PATHS, ids=".".join)
+@settings(max_examples=60)
+@given(value=JSON_VALUES)
+def test_any_json_value_on_a_gw_angles_base_is_a_config_or_a_config_error(
+        tmp_path_factory, path, value):
+    parse_with(tmp_path_factory, {**FULL_CONFIG, "experiment": "gw-angles"}, path, value)
 
 
 def test_manifest_inputs_of_a_full_config(tmp_path):

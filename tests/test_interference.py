@@ -1,14 +1,19 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from gwalk import interference
+from gwalk.cli import parse_config, run
+from gwalk.csvio import sha256_file
 from gwalk.errors import ConfigurationError
 from gwalk.interference import (InterferenceSetup, _golden_max, admissible_q,
                                 delta_formula, delta_max,
-                                delta_max_integer, delta_max_peak,
+                                delta_max_integer, delta_max_peak, deltam_rows,
                                 delta_simulated, figure_tables,
                                 initial_density_formula,
                                 initial_superposition, POLARIZATION_X,
@@ -30,6 +35,22 @@ def numeric_delta_max(q):
     i = int(np.argmax(np.abs(delta_formula(q, period * ts))))
     return _golden_max(lambda t: float(np.abs(delta_formula(q, period * t))),
                        ts[i] - 1 / 4096, ts[i] + 1 / 4096, 1e-10)[1]
+
+
+def integer_delta_max(q):
+    """Oracle for delta_max_integer: one q's offsets 0 .. ceil(4 pi / q)
+    evaluated as one array, the body the function had before it took arrays."""
+    if q == 0.0:
+        return 0.0
+    n = int(math.ceil(4.0 * math.pi / q)) + 1
+    return float(np.abs(delta_formula(q, np.arange(n))).max())
+
+
+#: q = 0, tiny q (periods of up to 12,567 offsets), q just below pi, the rest
+Q_ENTRIES = (st.just(0.0) | st.floats(1e-3, 1e-2)
+             | st.floats(math.pi - 1e-9, math.pi, exclude_max=True)
+             | st.just(math.nextafter(math.pi, 0.0))
+             | st.floats(1e-2, math.pi, exclude_max=True))
 
 
 def make_setup(xi=1e-4, q=Q_ADMISSIBLE, length=64):
@@ -182,6 +203,85 @@ class TestDeltaMax:
             delta_max(3.5)
 
 
+class TestDeltaMaxInteger:
+    @settings(max_examples=60, deadline=None)
+    @given(qs=st.lists(Q_ENTRIES, max_size=10), cap=st.integers(1, 1 << 16))
+    @example(qs=np.linspace(0.0, math.pi, 64, endpoint=False).tolist(), cap=1)
+    def test_array_equals_the_per_q_oracle_bit_for_bit(self, qs, cap):
+        expected = [integer_delta_max(q) for q in qs]
+        # at most a few hundred passes, however small the drawn cap
+        total = sum(int(math.ceil(4.0 * math.pi / q)) + 1 if q else 1 for q in qs)
+        with mock.patch.object(interference, "_OFFSETS_PER_PASS", max(cap, total // 256)):
+            got = delta_max_integer(np.array(qs))
+            scalars = [delta_max_integer(q) for q in qs]
+        assert got.tolist() == expected
+        assert scalars == expected
+
+    def test_scalar_gives_a_float(self):
+        assert type(delta_max_integer(1.0)) is float
+        assert type(delta_max_integer(np.float64(1.0))) is float
+        assert delta_max_integer(0.0) == 0.0 and type(delta_max_integer(0.0)) is float
+
+    def test_empty_array_gives_an_empty_array(self):
+        got = delta_max_integer(np.array([]))
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [-1e-300, -0.5, math.pi, 3.5, math.inf, -math.inf,
+                                     math.nan])
+    def test_any_bad_entry_raises(self, bad):
+        with pytest.raises(ConfigurationError, match="pi"):
+            delta_max_integer(bad)
+        with pytest.raises(ConfigurationError, match="pi"):
+            delta_max_integer(np.array([0.0, 1.0, bad, 2.0]))
+
+    def test_a_period_past_float_integers_raises(self):
+        for q in (1e-300, 5e-324):
+            with pytest.raises(ConfigurationError, match="too small"):
+                delta_max_integer(np.array([1.0, q]))
+
+    def test_two_dimensional_input_raises(self):
+        with pytest.raises(ConfigurationError, match="1-D"):
+            delta_max_integer(np.ones((2, 2)))
+
+    def test_peak_memory_does_not_grow_with_the_number_of_q(self):
+        cap = 4096
+        peaks = {}
+        with mock.patch.object(interference, "_OFFSETS_PER_PASS", cap):
+            for n in (1024, 8192):
+                qs = np.linspace(0.0, math.pi, n, endpoint=False)
+                tracemalloc.start()
+                try:
+                    delta_max_integer(qs)
+                    peaks[n] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        # a pass holds a few arrays of cap offsets, and each q a few numbers;
+        # the 8192 q's 300,000 offsets in one pass would take about 17 MB
+        assert peaks[8192] < 16 * 8 * cap + 128 * 8192
+        assert peaks[8192] - peaks[1024] < 128 * (8192 - 1024)
+
+    def test_rows_pair_each_q_with_both_maxima(self):
+        qs = [0.0, 0.5, 1.97, 3.0]
+        assert deltam_rows(qs) == [(q, delta_max(q), integer_delta_max(q)) for q in qs]
+        assert deltam_rows([]) == []
+
+
+class TestSweepBytes:
+    """Digests of the sweep tables as written before delta_max_integer took
+    arrays; the array form must not move a bit of them."""
+
+    def test_deltam_sweep_csv(self, tmp_path):
+        config = {"experiment": "deltam-sweep", "resolution": 256, "out_dir": str(tmp_path)}
+        assert run(parse_config(None, config)) == 0
+        assert sha256_file(tmp_path / "deltam_sweep.csv") == (
+            "cfb8d145cce07962117de951cf3d19700815509a96e4d4263434440b653640f3")
+
+    def test_fig4_deltam_csv(self, tmp_path):
+        paths = figure_tables(tmp_path, figures=("fig4",))
+        assert sha256_file(paths["fig4"]) == (
+            "a98f2400bea52e9a6fe67ae819dbf14fd60b24ba262d46c96225b129457af637")
+
+
 class TestFigureTables:
     def test_emits_all_figures(self, tmp_path):
         paths = figure_tables(tmp_path, resolution=32, lattice=8,
@@ -217,3 +317,22 @@ class TestFigureTables:
                 float(initial_density_formula(q_peak, px - py)), abs=1e-12)
             assert dl == pytest.approx(
                 float(delta_formula(q_peak, px - py)), abs=1e-12)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"sweep_resolution": -1}, "sweep_resolution"),
+        ({"sweep_resolution": 2.5}, "sweep_resolution"),
+        ({"resolution": 0}, "resolution"),
+        ({"resolution": 1}, "resolution"),
+        ({"resolution": True}, "resolution"),
+        ({"lattice": 0}, "lattice"),
+        ({"lattice": -2}, "lattice"),
+        ({"lattice": 5}, "lattice"),
+    ])
+    def test_bad_sizes_raise_naming_the_argument(self, tmp_path, kwargs, name):
+        with pytest.raises(ConfigurationError, match=name):
+            figure_tables(tmp_path / "out", **kwargs)
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_sweep_resolution_is_an_empty_table(self, tmp_path):
+        paths = figure_tables(tmp_path, figures=("fig4",), sweep_resolution=0)
+        assert paths["fig4"].read_text() == "q,deltaM_continuous,deltaM_integer\n"
