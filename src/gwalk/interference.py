@@ -9,6 +9,7 @@ compares against the closed-form profile and its maximum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -244,8 +245,10 @@ def deltam_rows(qs) -> list[tuple[float, float, float]]:
     return list(zip(q_list, map(delta_max, q_list), delta_max_integer(qs).tolist()))
 
 
+@functools.cache
 def delta_max_peak(resolution: int = 2048) -> tuple[float, float]:
-    """Location and value of the absolute maximum of delta_max on (pi/2, pi)."""
+    """Location and value of the absolute maximum of delta_max on (pi/2, pi).
+    The search is computed once per ``resolution`` and process."""
     qs = np.linspace(math.pi / 2, math.pi, resolution, endpoint=False)[1:].tolist()
     i = int(np.argmax([delta_max(q) for q in qs]))
     h = qs[1] - qs[0]
@@ -269,8 +272,9 @@ def figure_tables(out_dir, figures=("fig1", "fig2", "fig3", "fig4"),
     (q, deltaM_continuous, deltaM_integer).
 
     The sizes are checked as the CLI checks its own: ``resolution`` >= 2,
-    ``lattice`` positive and even, ``sweep_resolution`` >= 0; anything else
-    raises ``ConfigurationError`` naming the argument.
+    ``lattice`` positive and even, ``sweep_resolution`` >= 0, and each
+    entry of ``q_list`` a finite number > 0, as the CLI's ``q`` is; anything
+    else raises ``ConfigurationError`` naming the argument.
     """
     for name, value, minimum in (("resolution", resolution, 2), ("lattice", lattice, 2),
                                  ("sweep_resolution", sweep_resolution, 0)):
@@ -279,6 +283,14 @@ def figure_tables(out_dir, figures=("fig1", "fig2", "fig3", "fig4"),
             raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
     if lattice % 2:
         raise ConfigurationError(f"lattice must be even, got {lattice!r}")
+    try:
+        q_list = None if q_list is None else tuple(q_list)
+        bad = q_list is not None and not all(
+            not isinstance(q, bool) and math.isfinite(q) and q > 0 for q in q_list)
+    except TypeError:  # not a list, or an entry that is not a number
+        bad = True
+    if bad:
+        raise ConfigurationError(f"q_list must hold finite numbers > 0, got {q_list!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}

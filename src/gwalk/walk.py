@@ -23,13 +23,14 @@ space-uniform angles).  The other shift-free runs, Q then R(th11) and
 the runs through Pi, do not fuse into one real gate: the diag(1, +-i)
 between their rotations leaves phases that vary from site to site.
 
-Each time slice of the angles is read once into a record: cos and sin of
-every theta/2, from which cos theta = (c - s)(c + s) and sin theta = 2cs
-follow, and the entries of C^-1, where |det C| is checked (a non-finite
-angle fails that check).  Cosines and sines come from one tangent each
-(:func:`_cos_sin`).  Step j needs the records of slices j and j+1 (the
-latter for T); :func:`evolve` carries the record of slice j+1 into step
-j+1, so each slice costs 4 tangents once.
+Each time slice of the angles is read once into a record (:class:`_Slice`):
+cos and sin of every theta/2, cos theta = (c - s)(c + s) of each, and
+det C, where |det C| is checked (a non-finite angle fails that check).
+Cosines and sines come from one tangent each (:func:`_cos_sin`).  T takes
+the entries of C^-1 as cos/det while it is built, and the gates take
+cos theta and sin theta = 2cs.  Step j needs the records of slices j and
+j+1 (the latter for T); :func:`evolve` carries the record of slice j+1
+into step j+1, so each slice costs 4 tangents and 4 cos theta once.
 
 Every gate is K * [[c, s], [s, c]] entrywise with K's entries in
 {+-1, +-i}.  Per-site gates are applied as real gates: the field is held
@@ -47,9 +48,12 @@ gates, B_j holds the four axis-2 gates and C_j the rest.
 :func:`evolve` steps such angles in Fourier space: one in-place transform,
 then per step one apply of B_j along axis 2 and one of A_{j+1} C_j along
 axis 1, and one inverse transform at the end.  No shift runs.  Per-site
-angles are stepped in real space, through two buffers and a scratch array
-that the loop allocates once.  All public operations are pure: they read
-only the input field and return a fresh array.
+angles are stepped in real space, through two field buffers and a scratch
+array that the loop allocates once.  A gate runs over pieces of at most
+_CHUNK = 2^14 sites, both of its rows per piece, so that the piece's
+source, product and sum stay in cache; the scratch holds one piece's
+temporary (256 KiB).  All public operations are pure: they read only the
+input field and return a fresh array.
 """
 
 from __future__ import annotations
@@ -281,12 +285,13 @@ class SpinorField:
 # ---------------------------------------------------------------------------
 
 class _Slice(NamedTuple):
-    """One time slice of the angles as the step uses it: (cos, sin) of each
-    theta/2 by (k, l), the entries of C^-1 in (11, 12, 21, 22) order, and
-    the smallest |det C| over the lattice."""
+    """One time slice of the angles as the step uses it, by (k, l): (cos,
+    sin) of each theta/2 and cos theta; then det C and the smallest |det C|
+    over the lattice."""
 
     half: dict
-    inv: tuple
+    cos: dict
+    det: np.ndarray | float
     min_abs_det: float
 
 
@@ -295,11 +300,13 @@ def _cos_sin(x) -> tuple:
     with t = tan(x/2) and u = 2/(1 + t^2), cos x = u - 1 and sin x = t u.
     One tan costs less than a cos or a sin.  Scalars run the same float
     operations as array elements, so a site's values do not depend on
-    which was given; arrays are worked on in place."""
-    t = np.tan(np.multiply(x, 0.5))
+    which was given; `x` is only read."""
+    t = np.multiply(x, 0.5)
     if np.ndim(t) == 0:
+        t = np.tan(t)
         u = 2.0 / (1.0 + t * t)
         return u - 1.0, t * u
+    np.tan(t, out=t)
     u = np.multiply(t, t)
     u += 1.0
     np.divide(2.0, u, out=u)
@@ -316,7 +323,9 @@ def _half(theta) -> tuple:
 def _cos(half):
     """cos theta = (c - s)(c + s) from half = (cos, sin) of theta/2."""
     c, s = half
-    return (c - s) * (c + s)
+    x = c - s
+    x *= c + s
+    return x
 
 
 def _slice(th: dict, j: int, site=None) -> _Slice:
@@ -325,8 +334,9 @@ def _slice(th: dict, j: int, site=None) -> _Slice:
     # a non-finite angle gives NaN half angles, which the check below names
     with np.errstate(invalid="ignore"):
         half = {kl: _half(th[kl]) for kl in KL_PAIRS}
-    c11, c12, c21, c22 = (_cos(half[kl]) for kl in KL_PAIRS)
-    det = c11 * c22 - c12 * c21
+    cos = {kl: _cos(half[kl]) for kl in KL_PAIRS}
+    det = cos[1, 1] * cos[2, 2]
+    det -= cos[1, 2] * cos[2, 1]
     min_abs_det = float(np.min(np.abs(det)))
     if not min_abs_det >= SINGULAR_DET_TOL:
         bad = ~(np.abs(det) >= SINGULAR_DET_TOL)
@@ -336,14 +346,7 @@ def _slice(th: dict, j: int, site=None) -> _Slice:
         raise GeometryError(
             f"cosine matrix singular (|det| < {SINGULAR_DET_TOL:g}) or non-finite "
             f"at time j={j}, site {tuple(int(p) for p in site)}")
-    if np.ndim(det) == 0:
-        return _Slice(half, (c22 / det, -c12 / det, -c21 / det, c11 / det), min_abs_det)
-    # each cosine is used once more: overwrite it with its entry of C^-1
-    for c in (c22, c12, c21, c11):
-        np.divide(c, det, out=c)
-    for c in (c12, c21):
-        np.negative(c, out=c)
-    return _Slice(half, (c22, c12, c21, c11), min_abs_det)
+    return _Slice(half, cos, det, min_abs_det)
 
 
 def _read_slice(provider: AngleProvider, j: int, shape: tuple[int, int]) -> _Slice:
@@ -363,7 +366,7 @@ def _step_gate_lists(provider: AngleProvider, j0: int, steps: int,
         te = _t_values(rec, nxt, params)
         margins[:] = [min(margins[0], nxt.min_abs_det),
                       max(margins[1], float(np.max(np.abs(te))))]
-        gates, rec, te = _step_gates(rec.half, te, params), nxt, None
+        gates, rec, te = _step_gates(rec.half, rec.cos, te, params), nxt, None
         yield gates
 
 
@@ -380,32 +383,44 @@ def _gate(k: np.ndarray, c, s, axis: int = 0) -> tuple:
 
 
 def _w_chain(*blocks):
-    """The gates of W blocks given as (half, axis), first block first, where
-    W_k(th) = R^-1(th) U(th) S_k U(th) S_k R(th) and `half` is (c, s) =
-    (cos, sin) of th/2.  Each seam is fused into one gate: U(th), then
-    R^-1(th), then R(th') is U((th + th')/2), whose cos and sin follow from
-    the two half angles by angle addition; the last U(th), then R^-1(th), is
-    _UR_K * [[c, s], [s, c]]."""
+    """The gates of W blocks given as (half, cos, axis), first block first,
+    where W_k(th) = R^-1(th) U(th) S_k U(th) S_k R(th), `half` is (c, s) =
+    (cos, sin) of th/2 and `cos` is cos th.  Each seam is fused into one
+    gate: U(th), then R^-1(th), then R(th') is U((th + th')/2), whose cos and
+    sin follow from the two half angles by angle addition; the last U(th),
+    then R^-1(th), is _UR_K * [[c, s], [s, c]]."""
     prev = None
-    for half, axis in blocks:
+    for half, cos, axis in blocks:
         c, s = half
         if prev is None:
             yield _gate(_R_K, c, s, axis)
         else:
             pc, ps = prev
             yield _gate(_U_K, pc * c - ps * s, ps * c + pc * s, axis)
-        yield _gate(_U_K, _cos(half), 2.0 * c * s, axis)
+        yield _gate(_U_K, cos, 2.0 * c * s, axis)
         prev = half
     yield _gate(_UR_K, *prev)
 
 
-def _step_gates(half: dict, te, params: WalkParams):
-    """The gates of V_j in the order they act, Q first (module docstring);
-    `half` is the half-angle dict of a :class:`_Slice`."""
-    yield _gate(_Q_K, *_cos_sin(params.epsilon * (params.mass - te / 4.0)))
-    yield from _w_chain((half[(1, 1)], 1), (half[(2, 1)], 2))
+def _mass_angle(te, params: WalkParams):
+    """The mass gate's angle eps*(m - T/4); an array `te` is overwritten."""
+    if np.ndim(te) == 0:
+        return params.epsilon * (params.mass - te / 4.0)
+    te /= 4.0
+    np.subtract(params.mass, te, out=te)
+    te *= params.epsilon
+    return te
+
+
+def _step_gates(h: dict, c: dict, te, params: WalkParams):
+    """The gates of V_j in the order they act, Q first (module docstring),
+    from the half angles `h` and cosines `c` of a :class:`_Slice` and T,
+    which is overwritten."""
+    yield _gate(_Q_K, *_cos_sin(_mass_angle(te, params)))
+    del te  # free the mass angle before the W gates are built
+    yield from _w_chain((h[1, 1], c[1, 1], 1), (h[2, 1], c[2, 1], 2))
     yield PI_MATRIX, None, 0
-    yield from _w_chain((half[(2, 2)], 2), (half[(1, 2)], 1))
+    yield from _w_chain((h[2, 2], c[2, 2], 2), (h[1, 2], c[1, 2], 1))
     yield PI_INV_MATRIX, None, 0
 
 
@@ -422,26 +437,39 @@ def _fused(gates):
     yield prev
 
 
+#: sites per piece of a gate row: a piece's product, temporary and sum
+#: stay in a 2 MiB L2 cache (2^13 and 2^14 measured alike; 2^12 and 2^15
+#: were slower)
+_CHUNK = 2 ** 14
+
+
 def _rolls(l1: int, l2: int) -> dict:
-    """(destination, source) flat slices of S_k: the minus component is
-    pulled from p+1, the plus one from p-1 by the same pairs swapped.  Along
-    axis 2 the last pair rewrites the column that wraps around."""
+    """(destination, source) flat slices of S_k along each axis (0: none),
+    in pieces of at most _CHUNK sites: the minus component is pulled from
+    p+1, the plus one from p-1 by the same pairs swapped.  Along axis 2 the
+    last pair rewrites the column that wraps around."""
     n = l1 * l2
-    rolls = {0: [[(slice(None), slice(None))]] * 2}
+    pulls = {0: [(slice(0, n), slice(0, n))]}
     for axis, d in ((1, l2), (2, 1)):
-        pull = [(slice(0, n - d), slice(d, n)), (slice(n - d, n), slice(0, d))]
-        if axis == 2:
-            pull.append((slice(l2 - 1, n, l2), slice(0, n, l2)))
-        rolls[axis] = [pull, [(at, dst) for dst, at in pull]]
-    return rolls
+        pulls[axis] = [(slice(0, n - d), slice(d, n)), (slice(n - d, n), slice(0, d))]
+    pulls[2].append((slice(l2 - 1, n, l2), slice(0, n, l2)))
+
+    def pieces(pull):
+        for dst, at in pull:
+            dst, at = range(n)[dst], range(n)[at]
+            for i in range(0, len(dst), _CHUNK):
+                yield tuple(slice(r.start, r.stop, r.step)
+                            for r in (dst[i:i + _CHUNK], at[i:i + _CHUNK]))
+
+    return {axis: list(pieces(pull)) for axis, pull in pulls.items()}
 
 
 def _apply(src: np.ndarray, spare: np.ndarray, scratch: np.ndarray, gates,
            phase=(1, 1)) -> tuple:
     """Apply the gates in order to x = diag(phase) src, ping-ponging between
     the (2, L1, L2) arrays `src` and `spare`, both overwritten; `scratch`
-    holds one component.  Returns (out, the free buffer, phase'), where the
-    result is diag(phase') out.
+    holds one piece of a row (:func:`_scratch`).  Returns (out, the free
+    buffer, phase'), where the result is diag(phase') out.
 
     The phases are units in {+-1, +-i}.  Row r of a per-site gate
     K * [[c, s], [s, c]] is psi_r (a x_0 + rho_r b x_1) on the stored x,
@@ -467,12 +495,12 @@ def _apply(src: np.ndarray, spare: np.ndarray, scratch: np.ndarray, gates,
             coef, ops = ((c, s), (s, c)), tuple(np.add if r.real > 0 else np.subtract
                                                 for r in rho)
             phase = tuple(psi)
-        for row, pairs in enumerate(rolls[axis]):
-            # the second component is not written yet while the first is
-            tmp = spare[1] if row == 0 else scratch
-            a, b = coef[row]
-            for dst, at in pairs:
-                o, t = spare[row, dst], tmp[dst]
+        # both rows of a piece run while its source is in cache
+        for pull in rolls[axis]:
+            for row, (dst, at) in enumerate((pull, pull[::-1])):
+                a, b = coef[row]
+                o = spare[row, dst]
+                t = scratch[:o.size]
                 np.multiply(src[0, at], a if fields is None else a[at], out=o)
                 np.multiply(src[1, at], b if fields is None else b[at], out=t)
                 ops[row](o, t, out=o)
@@ -490,11 +518,16 @@ def _unphased(data: np.ndarray, phase) -> np.ndarray:
     return data
 
 
+def _scratch(shape) -> int:
+    """Length of :func:`_apply`'s scratch for (2, L1, L2) fields: one piece."""
+    return min(shape[1] * shape[2], _CHUNK)
+
+
 def _apply_fresh(data: np.ndarray, gates) -> np.ndarray:
     """The gates applied to a copy of `data`, which is only read."""
     src = data.copy()
     out, _, phase = _apply(src, np.empty_like(src),
-                           np.empty(src[0].size, dtype=complex), gates)
+                           np.empty(_scratch(src.shape), dtype=complex), gates)
     return _unphased(out, phase)
 
 
@@ -554,21 +587,40 @@ def shift_apply(field: SpinorField, axis: int) -> SpinorField:
 def w_block_apply(field: SpinorField, axis: int, theta) -> SpinorField:
     """One double-jump block W_k(theta); theta is a scalar or (L1, L2) field."""
     _check_axis(axis)
-    return SpinorField(_apply_fresh(field.data, _fused(_w_chain((_half(theta), axis)))))
+    half = _half(theta)
+    return SpinorField(_apply_fresh(field.data, _fused(_w_chain((half, _cos(half), axis)))))
 
 
 # ---------------------------------------------------------------------------
 # mass-like time-difference scalar
 # ---------------------------------------------------------------------------
 
+#: T's terms in order as (a, b, sign): sign * C^a D0 (C^b / det C)
+_T_TERMS = (((1, 2), (2, 2), 1), ((1, 1), (2, 1), 1),
+            ((2, 2), (1, 2), -1), ((2, 1), (1, 1), -1))
+
+
 def _t_values(rec: _Slice, nxt: _Slice, params: WalkParams):
     """T from the slices at times j and j+1, a scalar or an (L1, L2) array:
-    sum_k [ C^{k2} D0 (C^-1)^{1k} - C^{k1} D0 (C^-1)^{2k} ], C at time j."""
-    def term(kl, n):
-        return _cos(rec.half[kl]) * ((nxt.inv[n] - rec.inv[n]) / params.epsilon)
-
-    # one term at a time: the four cosines and differences are never all held
-    return term((1, 2), 0) - term((1, 1), 2) + term((2, 2), 1) - term((2, 1), 3)
+    sum_k [ C^{k2} D0 (C^-1)^{1k} - C^{k1} D0 (C^-1)^{2k} ], C at time j.
+    With C^-1 = [[C^22, -C^12], [-C^21, C^11]] / det C this is the sum of
+    _T_TERMS.  Taking a sign out of an entry of C^-1 negates its difference
+    and its term exactly, so each term keeps its bits up to the sign, and
+    adding a negated term is subtracting it.  Built in place, one term at a
+    time."""
+    t = None
+    for a, b, sign in _T_TERMS:
+        d = nxt.cos[b] / nxt.det
+        d -= rec.cos[b] / rec.det
+        d /= params.epsilon
+        d *= rec.cos[a]
+        if t is None:
+            t = d
+        elif sign > 0:
+            t += d
+        else:
+            t -= d
+    return t
 
 
 def t_epsilon(provider: AngleProvider, j: int, p1: int, p2: int,
@@ -605,7 +657,8 @@ def step(field: SpinorField, j: int, provider: AngleProvider,
     """
     rec = _read_slice(provider, j, field.shape)
     te = _t_values(rec, _read_slice(provider, j + 1, field.shape), params)
-    return SpinorField(_apply_fresh(field.data, _fused(_step_gates(rec.half, te, params))))
+    gates = _step_gates(rec.half, rec.cos, te, params)
+    return SpinorField(_apply_fresh(field.data, _fused(gates)))
 
 
 class _Run(NamedTuple):
@@ -646,7 +699,7 @@ def _time_loop(field: SpinorField, j0: int, steps: int, provider: AngleProvider,
     gate_lists = _step_gate_lists(provider, j0, steps, field.shape, params, margins)
     if steps == 0 or not provider.uniform_in_space:
         src, spare, scratch = (_paged(shape, offset) for shape, offset in zip(
-            (field.data.shape, field.data.shape, field.data[0].size), _PAGE_OFFSETS))
+            (field.data.shape, field.data.shape, _scratch(field.data.shape)), _PAGE_OFFSETS))
         src[...] = field.data
         phase, norms = (1, 1), []
         for gates in gate_lists:
@@ -709,5 +762,5 @@ def plane_wave_transfer_matrix(provider: AngleProvider, j: int,
             "plane-wave transfer matrix requires space-uniform angles")
     rec = _read_slice(provider, j, (2, 2))
     te = _t_values(rec, _read_slice(provider, j + 1, (2, 2)), params)
-    a, b, c = _factors(_step_gates(rec.half, te, params), k1, k2)
+    a, b, c = _factors(_step_gates(rec.half, rec.cos, te, params), k1, k2)
     return np.reshape(_times(c, _times(b, a)), (2, 2))

@@ -158,6 +158,13 @@ class TestDeltaMax:
         assert value == pytest.approx(2.48161, abs=1e-3)
         assert delta_max(math.pi - q_peak) == pytest.approx(value, abs=1e-6)
 
+    def test_peak_is_searched_once(self, monkeypatch):
+        first = delta_max_peak()
+        assert delta_max_peak.__wrapped__() == first
+        monkeypatch.setattr(interference, "delta_max",
+                            mock.Mock(side_effect=AssertionError("delta_max called")))
+        assert delta_max_peak() == first
+
     def test_peak_survives_snapping_to_lattice(self):
         # the nearest admissible q on a 64-lattice sits 0.012 from the peak;
         # the maximum response there is still the peak value to 1e-2
@@ -327,6 +334,13 @@ class TestFigureTables:
         ({"lattice": 0}, "lattice"),
         ({"lattice": -2}, "lattice"),
         ({"lattice": 5}, "lattice"),
+        ({"q_list": (0.0,)}, "q_list"),
+        ({"q_list": (1.0, -1.0)}, "q_list"),
+        ({"q_list": (math.nan,)}, "q_list"),
+        ({"q_list": (math.inf,)}, "q_list"),
+        ({"q_list": ("1.0",)}, "q_list"),
+        ({"q_list": (True,)}, "q_list"),
+        ({"q_list": 1.0}, "q_list"),
     ])
     def test_bad_sizes_raise_naming_the_argument(self, tmp_path, kwargs, name):
         with pytest.raises(ConfigurationError, match=name):

@@ -1,4 +1,7 @@
+import hashlib
+import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -464,6 +467,12 @@ class TestRealGates:
         assert np.abs(out - expected).max() < 1e-13
 
 
+def block(theta, axis):
+    """A W block as walk._w_chain takes it: (half, cos, axis)."""
+    half = walk._half(theta)
+    return half, walk._cos(half), axis
+
+
 class TestFusedSeams:
     # [-4 pi, 4 pi] runs past the period of tan(theta/4), through which the
     # half angles are computed
@@ -471,7 +480,7 @@ class TestFusedSeams:
 
     @given(angles, angles, st.integers(1, 2), st.integers(1, 2))
     def test_chain_matches_dense_coin_products(self, th, th2, axis, axis2):
-        gates = list(walk._w_chain((walk._half(th), axis), (walk._half(th2), axis2)))
+        gates = list(walk._w_chain(block(th, axis), block(th2, axis2)))
         r, u = coin_matrix("R", th), coin_matrix("U", th)
         r2, u2 = coin_matrix("R", th2), coin_matrix("U", th2)
         # the seams: U(th), R^-1(th), R(th') and U(th'), R^-1(th')
@@ -483,7 +492,7 @@ class TestFusedSeams:
 
     @given(angles, st.integers(1, 2))
     def test_single_block_is_three_gates(self, th, axis):
-        gates = list(walk._w_chain((walk._half(th), axis)))
+        gates = list(walk._w_chain(block(th, axis)))
         r, u = coin_matrix("R", th), coin_matrix("U", th)
         assert [g[2] for g in gates] == [axis, axis, 0]
         for (k, _, _), m in zip(gates, [r, u, r.conj().T @ u], strict=True):
@@ -496,7 +505,7 @@ class TestFusedSeams:
             provider = random_history_provider(rng, times=2, shape=sites)
             rec = walk._read_slice(provider, 0, (6, 8))
             te = walk._t_values(rec, walk._read_slice(provider, 1, (6, 8)), params)
-            gates = list(walk._fused(walk._step_gates(rec.half, te, params)))
+            gates = list(walk._fused(walk._step_gates(rec.half, rec.cos, te, params)))
             assert len(gates) == total
             assert sum(fields is not None for _, fields, _ in gates) == per_site
 
@@ -646,7 +655,9 @@ class TestPurity:
 class TestStepMemory:
     def test_per_site_step_peak_allocation(self):
         # bound: the peak of the step that applied every gate through fresh
-        # np.stack arrays, 8.25 field sizes on a 256^2 per-site provider
+        # np.stack arrays, 8.25 field sizes on a 256^2 per-site provider.
+        # Measured 7.25: the records of slices j and j+1 (3.25 each: cos and
+        # sin of each theta/2, cos theta and det C) while T is built (0.75)
         rng = np.random.default_rng(24)
         provider = random_history_provider(rng, times=2, shape=(256, 256))
         f = SpinorField.random((256, 256), rng)
@@ -694,6 +705,16 @@ class TestSliceReads:
         step(SpinorField.random((6, 8), rng), 2, provider, WalkParams(mass=0.3))
         assert calls == [2, 3]
 
+    @pytest.mark.parametrize("steps", [0, 1, 3])
+    def test_per_site_evolve_computes_each_cosine_once(self, monkeypatch, steps):
+        calls = []
+        cos = walk._cos
+        monkeypatch.setattr(walk, "_cos", lambda half: calls.append(1) or cos(half))
+        rng = np.random.default_rng(33)
+        provider = random_history_provider(rng, times=steps + 1, shape=(6, 8))
+        evolve(SpinorField.random((6, 8), rng), 0, steps, provider, WalkParams(mass=0.3))
+        assert len(calls) == 4 * (steps + 1)
+
     @given(walk_cases(times=6), st.integers(0, 1), st.integers(0, 4))
     def test_evolve_matches_repeated_step(self, case, j0, steps):
         provider, params, shape, rng = case
@@ -726,11 +747,14 @@ class TestSliceReads:
 
 class TestEvolveMemory:
     def test_per_site_evolve_allocates_no_buffer_per_step(self):
-        # bound: measured 9.26 field sizes: the loop's copy, second buffer
-        # and half-size scratch (2.5), the current slice record (3: cos and
-        # sin of each theta/2, and C^-1) and the next one while it is built
-        # (3.5).  Stepping through a fresh copy per step, as `step` does,
-        # holds one field more; a per-step leak grows with the step count.
+        # bound: measured 9.39 field sizes: the loop's copy and second
+        # buffer, and a scratch of one row piece (2.125); the record of slice
+        # j+1 (3.25: cos and sin of each theta/2, cos theta and det C) and
+        # what the gates of step j hold of slice j's (3); and either T while
+        # it is built (0.75) or two gates' fields while one is applied and
+        # the next built (1).  Stepping through a fresh copy per step, as
+        # `step` does, holds one field more; a per-step leak grows with the
+        # step count.
         rng = np.random.default_rng(29)
         provider = random_history_provider(rng, times=8, shape=(256, 256))
         f = SpinorField.random((256, 256), rng)
@@ -746,3 +770,66 @@ class TestEvolveMemory:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 0.01 * f.data.nbytes
         assert peaks[1] <= 9.5 * f.data.nbytes
+
+
+# ---------------------------------------------------------------------------
+# gate rows in pieces
+# ---------------------------------------------------------------------------
+
+#: SHA-256 of the per-site evolve's bytes below, as the step computed them
+#: with whole gate rows, by numpy's float64 tan kernel: AVX-512 (False) or
+#: libm's (True); every other operation of the step is exact IEEE arithmetic
+PINNED_EVOLVE = {
+    False: "aefc6abc3a2e27f6ac12bee20551565b8db3b3ae122849556f0e29c2f824ef14",
+    True: "65ff02582da0c259e9c100fb4bf0917244a226366878c2d58940bd83d523eee7",
+}
+
+
+def tan_is_libm() -> bool:
+    """Whether numpy's array tan gives math.tan's bits."""
+    probe = np.linspace(0.0, 1.0, 1001)
+    return np.array_equal(np.tan(probe), [math.tan(v) for v in probe])
+
+
+def random_gates(rng, shape, chain):
+    """walk._gate tuples of a chain of (kind, axis, per_site) draws."""
+    kinds = {"Q": walk._Q_K, "R": walk._R_K, "U": walk._U_K, "UR": walk._UR_K}
+    gates = []
+    for kind, axis, per_site in chain:
+        alpha = rng.uniform(-3, 3, shape) if per_site else rng.uniform(-3, 3)
+        gates.append(walk._gate(kinds[kind], np.cos(alpha), np.sin(alpha), axis))
+    return gates
+
+
+class TestRowPieces:
+    def test_per_site_evolve_bytes_are_pinned(self):
+        # 256 x 128 = 32,768 sites: every gate row runs in pieces
+        rng = np.random.default_rng(41)
+        provider = random_history_provider(rng, times=5, shape=(256, 128))
+        f = SpinorField.random((256, 128), rng)
+        out = evolve(f, 0, 4, provider, WalkParams(epsilon=0.7, mass=0.3))
+        assert hashlib.sha256(out.data.tobytes()).hexdigest() == PINNED_EVOLVE[tan_is_libm()]
+
+    # a small _CHUNK cuts each row into pieces with odd remainders, and the
+    # wrapping column too where the lattice has more rows than a piece
+    @given(st.integers(1, 64), st.sampled_from([(2, 2), (6, 10), (10, 4), (14, 6)]),
+           st.lists(st.tuples(st.sampled_from(["Q", "R", "U", "UR"]), st.integers(0, 2),
+                              st.booleans()), min_size=1, max_size=6),
+           st.integers(0, 2 ** 32 - 1))
+    def test_piece_size_leaves_gates_bit_identical(self, chunk, shape, chain, seed):
+        rng = np.random.default_rng(seed)
+        data = SpinorField.random(shape, rng).data
+        gates = random_gates(rng, shape, chain)
+        expected = walk._apply_fresh(data, iter(gates))
+        with mock.patch.object(walk, "_CHUNK", chunk):
+            out = walk._apply_fresh(data, iter(gates))
+        assert out.tobytes() == expected.tobytes()
+
+    @given(walk_cases(uniform=False, sides=(2, 6, 10, 14)), st.integers(1, 64))
+    def test_piece_size_leaves_evolve_bit_identical(self, case, chunk):
+        provider, params, shape, rng = case
+        f = SpinorField.random(shape, rng)
+        expected = evolve(f, 0, 1, provider, params)
+        with mock.patch.object(walk, "_CHUNK", chunk):
+            out = evolve(f, 0, 1, provider, params)
+        assert out.data.tobytes() == expected.data.tobytes()
