@@ -16,7 +16,6 @@ about ``_BLOCK`` values, as smaller calls cost more per value.
 from __future__ import annotations
 
 import contextlib
-import csv
 import hashlib
 import math
 import os
@@ -317,12 +316,3 @@ def sha256_file(path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def read_csv(path) -> tuple[list[str], list[list[float]]]:
-    """Read back a numeric CSV written by this package."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    return header, rows

@@ -9,7 +9,6 @@ compares against the closed-form profile and its maximum.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -96,10 +95,6 @@ class DensityProfile:
     u: np.ndarray
     delta: np.ndarray
 
-    @property
-    def period(self) -> float:
-        return 4.0 * math.pi / self.q
-
 
 def step_response(setup: InterferenceSetup, tolerance: float = 1e-10
                   ) -> tuple[np.ndarray, np.ndarray, DensityProfile]:
@@ -147,27 +142,6 @@ def delta_simulated(setup: InterferenceSetup,
 # ---------------------------------------------------------------------------
 # maximum response over the offset
 # ---------------------------------------------------------------------------
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(fn, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Golden-section search for a maximum of `fn` on [a, b], to width `tol`
-    or until float spacing stops the bracket from shrinking."""
-    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol and a < c < d < b:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x)
-
 
 def delta_max(q: float) -> float:
     """max over real u of |delta(q, u)|, in closed form (arXiv:1609.00722).
@@ -245,21 +219,24 @@ def deltam_rows(qs) -> list[tuple[float, float, float]]:
     return list(zip(q_list, map(delta_max, q_list), delta_max_integer(qs).tolist()))
 
 
-@functools.cache
-def delta_max_peak(resolution: int = 2048) -> tuple[float, float]:
+def delta_max_peak() -> tuple[float, float]:
     """Location and value of the absolute maximum of delta_max on (pi/2, pi).
-    The search is computed once per ``resolution`` and process."""
-    qs = np.linspace(math.pi / 2, math.pi, resolution, endpoint=False)[1:].tolist()
-    i = int(np.argmax([delta_max(q) for q in qs]))
-    h = qs[1] - qs[0]
-    return _golden_max(delta_max, qs[i] - h, qs[i] + h, 1e-10)
+
+    With c = |cos q|, delta_max(q) = 2 (1 - c^2)(sqrt(1 + c^2) + c), which
+    is stationary where 3 c^4 + 6 c^2 - 1 = 0, at c^2 = 2/sqrt(3) - 1.
+    """
+    q = math.pi - math.acos(math.sqrt(2.0 / math.sqrt(3.0) - 1.0))
+    return q, delta_max(q)
 
 
 # ---------------------------------------------------------------------------
 # figure tables
 # ---------------------------------------------------------------------------
 
-def figure_tables(out_dir, figures=("fig1", "fig2", "fig3", "fig4"),
+_FIGURES = ("fig1", "fig2", "fig3", "fig4")
+
+
+def figure_tables(out_dir, figures=_FIGURES,
                   resolution: int = 512, lattice: int = 64,
                   q_list=None, sweep_resolution: int = 1024) -> dict:
     """Emit the CSV tables behind the four reference figures.
@@ -271,11 +248,18 @@ def figure_tables(out_dir, figures=("fig1", "fig2", "fig3", "fig4"),
     [0, pi) with both real-u and integer-u columns
     (q, deltaM_continuous, deltaM_integer).
 
-    The sizes are checked as the CLI checks its own: ``resolution`` >= 2,
-    ``lattice`` positive and even, ``sweep_resolution`` >= 0, and each
-    entry of ``q_list`` a finite number > 0, as the CLI's ``q`` is; anything
-    else raises ``ConfigurationError`` naming the argument.
+    ``figures`` is a list of those names, not a bare string.  The sizes
+    are checked as the CLI checks its own: ``resolution`` >= 2, ``lattice``
+    positive and even, ``sweep_resolution`` >= 0, and each entry of
+    ``q_list`` a finite number > 0, as the CLI's ``q`` is; anything else
+    raises ``ConfigurationError`` naming the argument.
     """
+    try:
+        names = set(figures)  # a bare string gives its letters: no names
+    except TypeError:  # not a list, or an entry that cannot be a name
+        names = None
+    if names is None or not names <= set(_FIGURES):
+        raise ConfigurationError(f"figures must list names among {_FIGURES}, got {figures!r}")
     for name, value, minimum in (("resolution", resolution, 2), ("lattice", lattice, 2),
                                  ("sweep_resolution", sweep_resolution, 0)):
         if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
@@ -294,16 +278,15 @@ def figure_tables(out_dir, figures=("fig1", "fig2", "fig3", "fig4"),
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
-    need_peak = any(f in figures for f in ("fig2", "fig3"))
-    q_peak = delta_max_peak()[0] if need_peak else None
+    q_peak = delta_max_peak()[0] if names & {"fig2", "fig3"} else None
 
-    if "fig1" in figures:
+    if "fig1" in names:
         grid = spectral.SpectrumGrid.sample(spectral.rho, resolution, "rho")
         path = out / "fig1_rho.csv"
         grid.to_csv(path)
         written["fig1"] = path
 
-    if "fig2" in figures:
+    if "fig2" in names:
         p = np.arange(lattice)
         u = p[:, None] - p[None, :]
         rows = csvio.grid_rows(initial_density_formula(q_peak, u),
@@ -312,7 +295,7 @@ def figure_tables(out_dir, figures=("fig1", "fig2", "fig3", "fig4"),
         csvio.write_csv(path, ["pX", "pY", "N0", "delta"], rows)
         written["fig2"] = path
 
-    if "fig3" in figures:
+    if "fig3" in names:
         if q_list is None:
             q_list = (math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3,
                       q_peak)
@@ -325,7 +308,7 @@ def figure_tables(out_dir, figures=("fig1", "fig2", "fig3", "fig4"),
         csvio.write_csv(path, ["q", "u", "delta"], rows)
         written["fig3"] = path
 
-    if "fig4" in figures:
+    if "fig4" in names:
         rows = deltam_rows(np.linspace(0.0, math.pi, sweep_resolution, endpoint=False))
         path = out / "fig4_deltam.csv"
         csvio.write_csv(path, ["q", "deltaM_continuous", "deltaM_integer"], rows)

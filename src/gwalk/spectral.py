@@ -16,7 +16,7 @@ import numpy as np
 
 from . import csvio
 from .errors import ConfigurationError, ConsistencyError
-from .walk import SpinorField, WalkParams, plane_wave_transfer_matrix, pure_shear_angles
+from .walk import WalkParams, plane_wave_transfer_matrix, pure_shear_angles
 
 TWO_PI = 2.0 * np.pi
 
@@ -24,19 +24,6 @@ TWO_PI = 2.0 * np.pi
 class ModePoint(NamedTuple):
     qX: float
     qY: float
-
-
-# ---------------------------------------------------------------------------
-# lattice Fourier transform
-# ---------------------------------------------------------------------------
-
-def dft_field(field: SpinorField) -> np.ndarray:
-    """Unitary DFT of each spin component; mode (n1, n2) has k = 2*pi*n/L."""
-    return np.fft.fft2(field.data, axes=(1, 2), norm="ortho")
-
-
-def idft_field(modes: np.ndarray) -> SpinorField:
-    return SpinorField(np.fft.ifft2(modes, axes=(1, 2), norm="ortho"))
 
 
 # ---------------------------------------------------------------------------

@@ -158,13 +158,9 @@ class AngleProvider:
         return th
 
 
-def constant_angles(t11: float, t12: float, t21: float, t22: float) -> AngleProvider:
-    return uniform_time_angles(t11, t12, t21, t22)
-
-
 def flat_angles() -> AngleProvider:
     """Angles whose cosine matrix is the identity (flat geometry)."""
-    return constant_angles(0.0, math.pi / 2, math.pi / 2, 0.0)
+    return uniform_time_angles(0.0, math.pi / 2, math.pi / 2, 0.0)
 
 
 def uniform_time_angles(t11, t12, t21, t22, epsilon: float = 1.0) -> AngleProvider:
@@ -349,20 +345,16 @@ def _slice(th: dict, j: int, site=None) -> _Slice:
     return _Slice(half, cos, det, min_abs_det)
 
 
-def _read_slice(provider: AngleProvider, j: int, shape: tuple[int, int]) -> _Slice:
-    return _slice(provider.fields(j, shape), j)
-
-
 def _step_gate_lists(provider: AngleProvider, j0: int, steps: int,
                      shape: tuple[int, int], params: WalkParams, margins: list):
     """The lazy gate list of each step j from j0 (:func:`_step_gates`),
     reading each of the slices j0 .. j0 + steps once; `margins` is set to
-    [min |det C|, max |T|] over what was read.  Consume it to the end.  A
-    consumed list frees its slice, so at most two slices are held."""
-    rec = _read_slice(provider, j0, shape)
+    [min |det C|, max |T|] over what was read.  A consumed list frees its
+    slice, so at most two slices are held."""
+    rec = _slice(provider.fields(j0, shape), j0)
     margins[:] = [rec.min_abs_det, 0.0]
     for j in range(j0 + 1, j0 + steps + 1):
-        nxt = _read_slice(provider, j, shape)
+        nxt = _slice(provider.fields(j, shape), j)
         te = _t_values(rec, nxt, params)
         margins[:] = [min(margins[0], nxt.min_abs_det),
                       max(margins[1], float(np.max(np.abs(te))))]
@@ -523,14 +515,6 @@ def _scratch(shape) -> int:
     return min(shape[1] * shape[2], _CHUNK)
 
 
-def _apply_fresh(data: np.ndarray, gates) -> np.ndarray:
-    """The gates applied to a copy of `data`, which is only read."""
-    src = data.copy()
-    out, _, phase = _apply(src, np.empty_like(src),
-                           np.empty(_scratch(src.shape), dtype=complex), gates)
-    return _unphased(out, phase)
-
-
 # ---------------------------------------------------------------------------
 # per-axis factors of a space-uniform step
 # ---------------------------------------------------------------------------
@@ -571,24 +555,6 @@ def _mode_apply(src: np.ndarray, m, axis: int, out: np.ndarray,
         np.multiply(src[1], y, out=scratch)
         out[row] += scratch
     return out
-
-
-def _check_axis(axis: int) -> None:
-    if axis not in (1, 2):
-        raise ConfigurationError(f"axis must be 1 or 2, got {axis!r}")
-
-
-def shift_apply(field: SpinorField, axis: int) -> SpinorField:
-    """Spin-dependent translation S_k along lattice axis 1 or 2."""
-    _check_axis(axis)
-    return SpinorField(_apply_fresh(field.data, [(np.eye(2), None, axis)]))
-
-
-def w_block_apply(field: SpinorField, axis: int, theta) -> SpinorField:
-    """One double-jump block W_k(theta); theta is a scalar or (L1, L2) field."""
-    _check_axis(axis)
-    half = _half(theta)
-    return SpinorField(_apply_fresh(field.data, _fused(_w_chain((half, _cos(half), axis)))))
 
 
 # ---------------------------------------------------------------------------
@@ -639,8 +605,7 @@ def t_epsilon(provider: AngleProvider, j: int, p1: int, p2: int,
 def t_epsilon_field(provider: AngleProvider, j: int, shape: tuple[int, int],
                     params: WalkParams):
     """T over the whole lattice; scalar for space-uniform providers."""
-    return _t_values(_read_slice(provider, j, shape), _read_slice(provider, j + 1, shape),
-                     params)
+    return _t_values(*(_slice(provider.fields(t, shape), t) for t in (j, j + 1)), params)
 
 
 # ---------------------------------------------------------------------------
@@ -655,10 +620,10 @@ def step(field: SpinorField, j: int, provider: AngleProvider,
     the time difference in the mass gate).  Site-local gates always use
     the angle at the site where they act.
     """
-    rec = _read_slice(provider, j, field.shape)
-    te = _t_values(rec, _read_slice(provider, j + 1, field.shape), params)
-    gates = _step_gates(rec.half, rec.cos, te, params)
-    return SpinorField(_apply_fresh(field.data, _fused(gates)))
+    # reading two slices and building T peak before _real_steps allocates
+    # its buffers, not on top of them
+    gates = next(_step_gate_lists(provider, j, 1, field.shape, params, []))
+    return SpinorField(_real_steps(field.data, [gates])[0])
 
 
 class _Run(NamedTuple):
@@ -698,14 +663,8 @@ def _time_loop(field: SpinorField, j0: int, steps: int, provider: AngleProvider,
     margins = []
     gate_lists = _step_gate_lists(provider, j0, steps, field.shape, params, margins)
     if steps == 0 or not provider.uniform_in_space:
-        src, spare, scratch = (_paged(shape, offset) for shape, offset in zip(
-            (field.data.shape, field.data.shape, _scratch(field.data.shape)), _PAGE_OFFSETS))
-        src[...] = field.data
-        phase, norms = (1, 1), []
-        for gates in gate_lists:
-            src, spare, phase = _apply(src, spare, scratch, _fused(gates), phase)
-            norms.append(_norm(src))
-        return _Run(SpinorField(_unphased(src, phase)), norms, *margins)
+        data, norms = _real_steps(field.data, gate_lists)
+        return _Run(SpinorField(data), norms, *margins)
     spec = field.data.copy()
     for axis in (1, 2):
         np.fft.fft(spec, axis=axis, norm="ortho", out=spec)
@@ -714,6 +673,21 @@ def _time_loop(field: SpinorField, j0: int, steps: int, provider: AngleProvider,
     for axis in (1, 2):
         np.fft.ifft(spec, axis=axis, norm="ortho", out=spec)
     return _Run(SpinorField(spec), norms, *margins)
+
+
+def _real_steps(data: np.ndarray, gate_lists) -> tuple[np.ndarray, list[float]]:
+    """Step a copy of the (2, L1, L2) array `data`, which is only read, in
+    real space, one step per gate list in `gate_lists`, through two field
+    buffers and a scratch allocated once; returns the result and the norm
+    after each step."""
+    src, spare, scratch = (_paged(shape, offset) for shape, offset in zip(
+        (data.shape, data.shape, _scratch(data.shape)), _PAGE_OFFSETS))
+    src[...] = data
+    phase, norms = (1, 1), []
+    for gates in gate_lists:
+        src, spare, phase = _apply(src, spare, scratch, _fused(gates), phase)
+        norms.append(_norm(src))
+    return _unphased(src, phase), norms
 
 
 def _fourier_steps(spec: np.ndarray, gate_lists) -> tuple[np.ndarray, list[float]]:
@@ -760,7 +734,6 @@ def plane_wave_transfer_matrix(provider: AngleProvider, j: int,
     if not provider.uniform_in_space:
         raise ConfigurationError(
             "plane-wave transfer matrix requires space-uniform angles")
-    rec = _read_slice(provider, j, (2, 2))
-    te = _t_values(rec, _read_slice(provider, j + 1, (2, 2)), params)
-    a, b, c = _factors(_step_gates(rec.half, rec.cos, te, params), k1, k2)
+    gates = next(_step_gate_lists(provider, j, 1, (2, 2), params, []))
+    a, b, c = _factors(gates, k1, k2)
     return np.reshape(_times(c, _times(b, a)), (2, 2))

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from gwalk import continuum, geometry, interference, spectral, walk
-from gwalk.csvio import read_csv, sha256_file
+from gwalk.csvio import sha256_file
+
+from oracles import read_csv
 
 TWO_PI = 2 * math.pi
 

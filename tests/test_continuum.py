@@ -12,8 +12,8 @@ from gwalk.continuum import (GAMMA0, GAMMA1, GAMMA2, HamiltonianField,
                              spin_generator, t0, t0_dual_form)
 from gwalk.errors import ConfigurationError
 from gwalk.geometry import dual_triad, triad_from_angles
-from gwalk.walk import (SpinorField, WalkParams, constant_angles, flat_angles,
-                        pure_shear_angles, uniform_time_angles)
+from gwalk.walk import (SpinorField, WalkParams, flat_angles, pure_shear_angles,
+                        uniform_time_angles)
 
 ETA = np.diag([1.0, -1.0, -1.0])
 FLAT = (0.0, math.pi / 2, math.pi / 2, 0.0)
@@ -233,7 +233,7 @@ class TestContinuumResidual:
             continuum_residual(flat_angles(), WalkParams(), rough, 0)
 
     def test_provider_hamiltonian_matches_angle_hamiltonian(self):
-        provider = constant_angles(0.2, 1.1, 0.9, 0.4)
+        provider = uniform_time_angles(0.2, 1.1, 0.9, 0.4)
         params = WalkParams(epsilon=0.5, mass=0.3)
         rng = np.random.default_rng(5)
         modes = np.zeros((2, 16, 16), dtype=complex)

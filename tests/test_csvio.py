@@ -10,7 +10,9 @@ from hypothesis.extra import numpy as hnp
 
 from gwalk import csvio
 from gwalk.cli import parse_config, run
-from gwalk.csvio import grid_rows, read_csv, sha256_file, write_csv
+from gwalk.csvio import grid_rows, sha256_file, write_csv
+
+from oracles import read_csv
 
 
 def test_mixed_row_bytes(tmp_path):
@@ -243,7 +245,9 @@ def test_grid_write_working_memory_stays_below_the_grid(tmp_path):
 
 
 #: SHA-256 of outputs written by the per-row ``%`` writer this kernel replaced;
-#: the spectrum's is of ``b"%.17g" % x`` rows of the periodic grid's values
+#: the spectrum's is of ``b"%.17g" % x`` rows of the periodic grid's values.
+#: The interference grid's also pins the bits of one real-space step on
+#: space-uniform angles
 PINNED = {
     "spectrum": ({"experiment": "spectrum", "resolution": 64}, "rho.csv",
                  "46c6c3850f754ca033aeaefc96b70a9d655480dfaa515ad3c539322fc358d6a9"),
@@ -254,6 +258,8 @@ PINNED = {
                        "K": 1.4, "K_prime": 1.3}},
                "evolve_density.csv",
                "3013cda6267b636d06b616bbe8eeb6760de1b96c8cd6aabddc946699b4bce011"),
+    "interference": ({"experiment": "interference", "q": 1.2}, "interference_grid.csv",
+                     "27a685519b8988dd007a623e2769d956fbc94655fdcdcbd389eaa2148e95e7af"),
 }
 
 

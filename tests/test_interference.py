@@ -11,7 +11,7 @@ from gwalk import interference
 from gwalk.cli import parse_config, run
 from gwalk.csvio import sha256_file
 from gwalk.errors import ConfigurationError
-from gwalk.interference import (InterferenceSetup, _golden_max, admissible_q,
+from gwalk.interference import (InterferenceSetup, admissible_q,
                                 delta_formula, delta_max,
                                 delta_max_integer, delta_max_peak, deltam_rows,
                                 delta_simulated, figure_tables,
@@ -23,6 +23,36 @@ from gwalk.walk import WalkParams, pure_shear_angles, step
 
 SQ2 = math.sqrt(2.0)
 Q_ADMISSIBLE = admissible_q(1.97504, 64)  # 10*pi/16 on the default lattice
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max(fn, a: float, b: float, tol: float) -> tuple[float, float]:
+    """Golden-section search for a maximum of `fn` on [a, b], to width `tol`
+    or until float spacing stops the bracket from shrinking."""
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol and a < c < d < b:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = fn(d)
+    x = 0.5 * (a + b)
+    return x, fn(x)
+
+
+def searched_delta_max_peak():
+    """Oracle for delta_max_peak: the best of a 2,047-point scan of
+    (pi/2, pi), refined by golden-section search."""
+    qs = np.linspace(math.pi / 2, math.pi, 2048, endpoint=False)[1:].tolist()
+    i = int(np.argmax([delta_max(q) for q in qs]))
+    h = qs[1] - qs[0]
+    return _golden_max(delta_max, qs[i] - h, qs[i] + h, 1e-10)
 
 
 def numeric_delta_max(q):
@@ -158,12 +188,16 @@ class TestDeltaMax:
         assert value == pytest.approx(2.48161, abs=1e-3)
         assert delta_max(math.pi - q_peak) == pytest.approx(value, abs=1e-6)
 
-    def test_peak_is_searched_once(self, monkeypatch):
-        first = delta_max_peak()
-        assert delta_max_peak.__wrapped__() == first
-        monkeypatch.setattr(interference, "delta_max",
-                            mock.Mock(side_effect=AssertionError("delta_max called")))
-        assert delta_max_peak() == first
+    def test_peak_matches_the_searched_peak(self):
+        q_peak, value = delta_max_peak()
+        q_search, value_search = searched_delta_max_peak()
+        assert abs(q_peak - q_search) < 1e-7
+        assert abs(value - value_search) < 1e-14
+
+    def test_peak_is_a_local_maximum(self):
+        q_peak, value = delta_max_peak()
+        assert value == delta_max(q_peak)
+        assert value >= delta_max(q_peak - 1e-4) and value >= delta_max(q_peak + 1e-4)
 
     def test_peak_survives_snapping_to_lattice(self):
         # the nearest admissible q on a 64-lattice sits 0.012 from the peak;
@@ -341,6 +375,11 @@ class TestFigureTables:
         ({"q_list": ("1.0",)}, "q_list"),
         ({"q_list": (True,)}, "q_list"),
         ({"q_list": 1.0}, "q_list"),
+        ({"figures": ("fig5",)}, "figures"),
+        ({"figures": ("Fig4",)}, "figures"),
+        ({"figures": ("fig1", None)}, "figures"),
+        ({"figures": "fig4"}, "figures"),
+        ({"figures": 4}, "figures"),
     ])
     def test_bad_sizes_raise_naming_the_argument(self, tmp_path, kwargs, name):
         with pytest.raises(ConfigurationError, match=name):

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from gwalk import spectral
 from gwalk.errors import ConfigurationError, ConsistencyError
-from gwalk.spectral import (SpectrumGrid, dft_field, eigen,
-                            find_rho_maxima, idft_field, large_scale_operator,
-                            mode_operator, mode_w0, mode_w1, perturbative_eigs,
-                            rho, transfer_matrix, unaffected_modes)
+from gwalk.spectral import (SpectrumGrid, eigen, find_rho_maxima,
+                            large_scale_operator, mode_operator, mode_w0, mode_w1,
+                            perturbative_eigs, rho, transfer_matrix, unaffected_modes)
 from gwalk.walk import SpinorField
 
 TWO_PI = 2 * math.pi
@@ -105,6 +104,15 @@ def oracle_zeros(resolution=512, tolerance=1e-6):
                                  for zx, zy in zeros):
             zeros.append((x, y))
     return sorted(zeros)
+
+
+def dft_field(field):
+    """Unitary DFT of each spin component; mode (n1, n2) has k = 2*pi*n/L."""
+    return np.fft.fft2(field.data, axes=(1, 2), norm="ortho")
+
+
+def idft_field(modes):
+    return SpinorField(np.fft.ifft2(modes, axes=(1, 2), norm="ortho"))
 
 
 class TestDft:

@@ -13,10 +13,9 @@ from gwalk import walk
 from gwalk.errors import ConfigurationError, GeometryError
 from gwalk.geometry import spatial_nullity_terms, t_epsilon_compact
 from gwalk.walk import (AngleProvider, SpinorField, WalkParams, array_angles,
-                        coin_matrix, constant_angles, evolve, flat_angles,
+                        coin_matrix, evolve, flat_angles,
                         plane_wave_transfer_matrix, pure_shear_angles,
-                        shift_apply, step, t_epsilon, uniform_time_angles,
-                        w_block_apply)
+                        step, t_epsilon, uniform_time_angles)
 from gwalk.walk import t_epsilon_field
 
 RNG_ANGLE_RANGES = ((0.1, 0.7), (0.9, 1.4))  # keeps the cosine matrix well conditioned
@@ -24,8 +23,8 @@ RNG_ANGLE_RANGES = ((0.1, 0.7), (0.9, 1.4))  # keeps the cosine matrix well cond
 
 def random_uniform_provider(rng):
     (a, b), (c, d) = RNG_ANGLE_RANGES
-    return constant_angles(rng.uniform(a, b), rng.uniform(c, d),
-                           rng.uniform(c, d), rng.uniform(a, b))
+    return uniform_time_angles(rng.uniform(a, b), rng.uniform(c, d),
+                               rng.uniform(c, d), rng.uniform(a, b))
 
 
 def random_history_provider(rng, times=3, shape=(1, 1)):
@@ -38,6 +37,34 @@ def random_history_provider(rng, times=3, shape=(1, 1)):
         (2, 1): rng.uniform(c, d, (times, *shape)),
     }
     return array_angles(arrays)
+
+
+# ---------------------------------------------------------------------------
+# gates, shifts and blocks applied one list at a time: oracles for the step
+# ---------------------------------------------------------------------------
+
+def apply_fresh(data, gates):
+    """The gates applied in order to a copy of `data`, which is only read, as
+    one step of the real-space driver."""
+    return walk._real_steps(data, [iter(gates)])[0]
+
+
+def check_axis(axis):
+    if axis not in (1, 2):
+        raise ConfigurationError(f"axis must be 1 or 2, got {axis!r}")
+
+
+def shift_apply(field, axis):
+    """Spin-dependent translation S_k along lattice axis 1 or 2."""
+    check_axis(axis)
+    return SpinorField(apply_fresh(field.data, [(np.eye(2), None, axis)]))
+
+
+def w_block_apply(field, axis, theta):
+    """One double-jump block W_k(theta); theta is a scalar or (L1, L2) field."""
+    check_axis(axis)
+    half = walk._half(theta)
+    return SpinorField(apply_fresh(field.data, walk._w_chain((half, walk._cos(half), axis))))
 
 
 class TestCoinMatrices:
@@ -462,7 +489,7 @@ class TestRealGates:
                 [[np.cos(a), np.sin(a)], [np.sin(a), np.cos(a)]]), alpha)
             if axis:
                 expected = _oracle_shift(expected, axis)
-        out = walk._apply_fresh(data, iter(gates))
+        out = apply_fresh(data, gates)
         assert not np.shares_memory(out, data)
         assert np.abs(out - expected).max() < 1e-13
 
@@ -503,9 +530,8 @@ class TestFusedSeams:
         params = WalkParams(epsilon=0.7, mass=0.3)
         for sites, total, per_site in (((6, 8), 13, 11), ((1, 1), 9, 0)):
             provider = random_history_provider(rng, times=2, shape=sites)
-            rec = walk._read_slice(provider, 0, (6, 8))
-            te = walk._t_values(rec, walk._read_slice(provider, 1, (6, 8)), params)
-            gates = list(walk._fused(walk._step_gates(rec.half, rec.cos, te, params)))
+            gates = next(walk._step_gate_lists(provider, 0, 1, (6, 8), params, []))
+            gates = list(walk._fused(gates))
             assert len(gates) == total
             assert sum(fields is not None for _, fields, _ in gates) == per_site
 
@@ -820,9 +846,9 @@ class TestRowPieces:
         rng = np.random.default_rng(seed)
         data = SpinorField.random(shape, rng).data
         gates = random_gates(rng, shape, chain)
-        expected = walk._apply_fresh(data, iter(gates))
+        expected = apply_fresh(data, gates)
         with mock.patch.object(walk, "_CHUNK", chunk):
-            out = walk._apply_fresh(data, iter(gates))
+            out = apply_fresh(data, gates)
         assert out.tobytes() == expected.tobytes()
 
     @given(walk_cases(uniform=False, sides=(2, 6, 10, 14)), st.integers(1, 64))
