@@ -57,13 +57,16 @@ class InterferenceSetup:
 
 
 def initial_superposition(setup: InterferenceSetup) -> SpinorField:
-    """Psi1 e^{i q pX/2} + Psi2 e^{i q pY/2} on the lattice."""
-    k = setup.q / 2.0
-    l1, l2 = setup.shape
-    p1 = np.arange(l1)[:, None]
-    p2 = np.arange(l2)[None, :]
-    phase_x = np.exp(1j * k * p1) * np.ones((1, l2))
-    phase_y = np.ones((l1, 1)) * np.exp(1j * k * p2)
+    """Psi1 e^{i q pX/2} + Psi2 e^{i q pY/2} on the lattice.
+
+    q is admissible, q = 4 pi n / L, so q p/2 = 2 pi ((n p) mod L) / L: the
+    argument is reduced in integers, and sites on one diagonal get phases
+    whose rounding does not grow with p."""
+    length = setup.shape[0]
+    n = round(setup.q * length / (4.0 * math.pi))
+    phase = np.exp(1j * (2.0 * math.pi / length) * ((n * np.arange(length)) % length))
+    phase_x = phase[:, None] * np.ones((1, length))
+    phase_y = np.ones((length, 1)) * phase[None, :]
     data = np.stack((
         POLARIZATION_X[0] * phase_x + POLARIZATION_Y[0] * phase_y,
         POLARIZATION_X[1] * phase_x + POLARIZATION_Y[1] * phase_y))

@@ -46,14 +46,15 @@ B_j(k2) A_j(k1): A_j runs up to the last axis-1 shift before the axis-2
 gates, B_j holds the four axis-2 gates and C_j the rest.
 :func:`plane_wave_transfer_matrix` is their product at one k, and
 :func:`evolve` steps such angles in Fourier space: one in-place transform,
-then per step one apply of B_j along axis 2 and one of A_{j+1} C_j along
-axis 1, and one inverse transform at the end.  No shift runs.  Per-site
-angles are stepped in real space, through two field buffers and a scratch
-array that the loop allocates once.  A gate runs over pieces of at most
-_CHUNK = 2^14 sites, both of its rows per piece, so that the piece's
-source, product and sum stay in cache; the scratch holds one piece's
-temporary (256 KiB).  All public operations are pure: they read only the
-input field and return a fresh array.
+then per step one in-place pass over blocks of k1 rows, each of at most
+_CHUNK modes, that applies B_j along axis 2 and then A_{j+1} C_j along
+axis 1 to the block, and one inverse transform at the end.  No shift runs.
+Per-site angles are stepped in real space, through two field buffers and
+a scratch array that the loop allocates once.  A gate runs over pieces of
+at most _CHUNK = 2^14 sites, both of its rows per piece, so that the
+piece's source, product and sum stay in cache; the scratch holds one
+piece's temporary (256 KiB).  All public operations are pure: they read
+only the input field and return a fresh array.
 """
 
 from __future__ import annotations
@@ -527,12 +528,18 @@ def _times(m, n) -> tuple:
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-def _factors(gates, k1, k2) -> list:
+def _phase_pairs(k1, k2) -> dict:
+    """The phase pair (e^{ik}, e^{-ik}) that a shift along each axis (0:
+    none) puts on a mode, at the wavenumbers k1 and k2 (scalars or 1-D
+    arrays)."""
+    return {0: (1.0, 1.0), 1: (np.exp(1j * k1), np.exp(-1j * k1)),
+            2: (np.exp(1j * k2), np.exp(-1j * k2))}
+
+
+def _factors(gates, phases: dict) -> list:
     """The factors [A(k1), B(k2), C(k1)] (module docstring) of a step's
-    gate list of scalar gates, at the wavenumbers k1 and k2 (scalars or 1-D
-    arrays), as entry tuples."""
-    phases = {0: (1.0, 1.0), 1: (np.exp(1j * k1), np.exp(-1j * k1)),
-              2: (np.exp(1j * k2), np.exp(-1j * k2))}
+    gate list of scalar gates, with the shifts' phase pairs `phases`
+    (:func:`_phase_pairs`), as entry tuples."""
     factors, axes = [], []
     for k, _, axis in _fused(gates):
         p, q = phases[axis]
@@ -547,8 +554,9 @@ def _factors(gates, k1, k2) -> list:
 
 def _mode_apply(src: np.ndarray, m, axis: int, out: np.ndarray,
                 scratch: np.ndarray) -> np.ndarray:
-    """out = M src at every Fourier mode of a (2, L1, L2) array; the entries
-    of M are arrays along `axis`.  `scratch` is one (L1, L2) component."""
+    """out = M src at every Fourier mode of a (2, rows, L2) array; the
+    entries of M are arrays along `axis`.  `scratch` is one (rows, L2)
+    component."""
     a, b, c, d = (np.reshape(e, (-1, 1)) if axis == 1 else e for e in m)
     for row, (x, y) in enumerate(((a, b), (c, d))):
         np.multiply(src[0], x, out=out[row])
@@ -668,7 +676,6 @@ def _time_loop(field: SpinorField, j0: int, steps: int, provider: AngleProvider,
     spec = field.data.copy()
     for axis in (1, 2):
         np.fft.fft(spec, axis=axis, norm="ortho", out=spec)
-    # the second buffer and the scratch are freed when this call returns
     spec, norms = _fourier_steps(spec, gate_lists)
     for axis in (1, 2):
         np.fft.ifft(spec, axis=axis, norm="ortho", out=spec)
@@ -691,27 +698,36 @@ def _real_steps(data: np.ndarray, gate_lists) -> tuple[np.ndarray, list[float]]:
 
 
 def _fourier_steps(spec: np.ndarray, gate_lists) -> tuple[np.ndarray, list[float]]:
-    """Step the unitary Fourier transform `spec` of a field, which is
-    overwritten, through ping-pong buffers, one step per gate list in
-    `gate_lists` (at least one); see the module docstring.  The norm after
-    step j is taken after A_{j+1} C_j, which is unitary too."""
-    shape = spec.shape[1:]
-    k1, k2 = (2 * np.pi * np.arange(n) / n for n in shape)
-    dst, scratch = np.empty_like(spec), np.empty(shape, dtype=complex)
-    a, b, c = _factors(next(gate_lists), k1, k2)
-    src, dst = _mode_apply(spec, a, 1, dst, scratch), spec
+    """Step the unitary Fourier transform `spec` of a field in place, one
+    step per gate list in `gate_lists` (at least one); see the module
+    docstring.  A step is one pass over blocks of k1 rows, each of at most
+    _CHUNK modes, so that the block and its two temporaries stay in cache.
+    The norm after step j is taken after A_{j+1} C_j, which is unitary too."""
+    l1, l2 = spec.shape[1:]
+    phases = _phase_pairs(*(2 * np.pi * np.arange(n) / n for n in (l1, l2)))
+    rows = max(1, _CHUNK // (2 * l2))
+    tmp, scratch = np.empty((2, rows, l2), complex), np.empty((rows, l2), complex)
+    first, b, c = _factors(next(gate_lists), phases)
     norms = []
     while True:
-        src, dst = _mode_apply(src, b, 2, dst, scratch), src
         gates = next(gate_lists, None)
-        last = c
+        # B_j, before the next step's factors rebind b
+        mid, last = b, c
         if gates is not None:
-            a, b, c = _factors(gates, k1, k2)
+            a, b, c = _factors(gates, phases)
             last = _times(a, last)
-        src, dst = _mode_apply(src, last, 1, dst, scratch), src
-        norms.append(_norm(src))
+        for r in range(0, l1, rows):
+            block = spec[:, r:r + rows]
+            n = block.shape[1]
+            out, scr = tmp[:, :n], scratch[:n]
+            if first is not None:
+                block[...] = _mode_apply(block, [e[r:r + n] for e in first], 1, out, scr)
+            _mode_apply(block, mid, 2, out, scr)
+            _mode_apply(out, [e[r:r + n] for e in last], 1, block, scr)
+        first = None
+        norms.append(_norm(spec))
         if gates is None:
-            return src, norms
+            return spec, norms
 
 
 def evolve(field: SpinorField, j0: int, steps: int, provider: AngleProvider,
@@ -735,5 +751,5 @@ def plane_wave_transfer_matrix(provider: AngleProvider, j: int,
         raise ConfigurationError(
             "plane-wave transfer matrix requires space-uniform angles")
     gates = next(_step_gate_lists(provider, j, 1, (2, 2), params, []))
-    a, b, c = _factors(gates, k1, k2)
+    a, b, c = _factors(gates, _phase_pairs(k1, k2))
     return np.reshape(_times(c, _times(b, a)), (2, 2))

@@ -238,6 +238,14 @@ class TestRuns:
         _, prof = read_csv(tmp_path / "out" / "interference_profile.csv")
         assert len(prof) == 32
 
+    def test_interference_on_a_large_lattice_is_0(self, tmp_path):
+        # the initial phases are reduced in integers, so their rounding does
+        # not grow with the lattice past the diagonal check's floor
+        payload = {"experiment": "interference", "lattice": [256, 256],
+                   "out_dir": str(tmp_path / "out")}
+        assert main(["--config", write_config(tmp_path, payload)]) == 0
+        assert (tmp_path / "out" / "manifest.json").exists()
+
     def test_evolve_norm_conserved(self, tmp_path):
         cfg = parse_config(None, {"experiment": "evolve",
                                   "lattice": [16, 16], "steps": 5,

@@ -247,7 +247,8 @@ def test_grid_write_working_memory_stays_below_the_grid(tmp_path):
 #: SHA-256 of outputs written by the per-row ``%`` writer this kernel replaced;
 #: the spectrum's is of ``b"%.17g" % x`` rows of the periodic grid's values.
 #: The interference grid's also pins the bits of one real-space step on
-#: space-uniform angles
+#: space-uniform angles, from initial phases whose argument is reduced in
+#: integers
 PINNED = {
     "spectrum": ({"experiment": "spectrum", "resolution": 64}, "rho.csv",
                  "46c6c3850f754ca033aeaefc96b70a9d655480dfaa515ad3c539322fc358d6a9"),
@@ -259,7 +260,7 @@ PINNED = {
                "evolve_density.csv",
                "3013cda6267b636d06b616bbe8eeb6760de1b96c8cd6aabddc946699b4bce011"),
     "interference": ({"experiment": "interference", "q": 1.2}, "interference_grid.csv",
-                     "27a685519b8988dd007a623e2769d956fbc94655fdcdcbd389eaa2148e95e7af"),
+                     "46435989b193405a5d5de6d61fa2329e9b2e98999a058e4c8b50b4b4d8520497"),
 }
 
 
