@@ -419,17 +419,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
-    overrides: dict = {}
-    if args.experiment:
-        overrides["experiment"] = args.experiment
-    if args.out:
-        overrides["out_dir"] = args.out
-    if args.resolution is not None:
-        overrides["resolution"] = args.resolution
-    if args.q is not None:
-        overrides["q"] = args.q
-    if args.xi is not None:
-        overrides["params"] = {"xi": args.xi}
+    # parse_config skips None: an unset flag, or an empty --out, leaves the file's value
+    overrides = {"experiment": args.experiment, "out_dir": args.out or None,
+                 "resolution": args.resolution, "q": args.q,
+                 "params": None if args.xi is None else {"xi": args.xi}}
     try:
         config = parse_config(args.config, overrides)
         return run(config)

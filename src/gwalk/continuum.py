@@ -115,7 +115,7 @@ def _spectral_derivative(comp: np.ndarray, axis: int, epsilon: float) -> np.ndar
     return np.fft.ifft(mult * np.fft.fft(comp, axis=axis), axis=axis)
 
 
-def _derive(value, axis: int, shape, epsilon: float):
+def _derive(value, axis: int, epsilon: float):
     if np.ndim(value) == 0:
         return 0.0
     return _spectral_derivative(np.asarray(value, dtype=complex), axis, epsilon)
@@ -135,11 +135,10 @@ def hamiltonian_apply(field: SpinorField, h: HamiltonianField) -> SpinorField:
     out1 = -1j * (1j * c12 * d0_x + c11 * d1_x + 1j * c22 * d0_y + c21 * d1_y)
 
     # -(i/2) (d_k B^k) Psi, nonzero only for space-dependent angles
-    shape = field.shape
-    dx_c11 = _derive(c11, 0, shape, eps)
-    dx_c12 = _derive(c12, 0, shape, eps)
-    dy_c21 = _derive(c21, 1, shape, eps)
-    dy_c22 = _derive(c22, 1, shape, eps)
+    dx_c11 = _derive(c11, 0, eps)
+    dx_c12 = _derive(c12, 0, eps)
+    dy_c21 = _derive(c21, 1, eps)
+    dy_c22 = _derive(c22, 1, eps)
     if np.ndim(dx_c11) or np.ndim(dx_c12) or np.ndim(dy_c21) or np.ndim(dy_c22):
         f0, f1 = field.data[0], field.data[1]
         out0 += -0.5j * ((-dx_c11 - dy_c21) * f0 + (-1j * dx_c12 - 1j * dy_c22) * f1)

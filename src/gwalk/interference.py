@@ -9,6 +9,7 @@ compares against the closed-form profile and its maximum.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,8 +29,11 @@ POLARIZATION_Y = np.array([-1j / _SQRT2, 1.0 / _SQRT2])
 
 def admissible_q(q: float, length: int) -> float:
     """Nearest wavenumber with q*L/2 a multiple of 2*pi."""
-    n = round(q * length / (4.0 * math.pi))
-    return 4.0 * math.pi * n / length
+    n = q * length / (4.0 * math.pi)
+    if not math.isfinite(n):
+        raise ConfigurationError(f"q = {q!r} has no admissible neighbour: q*L/(4 pi) is "
+                                 f"not finite for L = {length}")
+    return 4.0 * math.pi * round(n) / length
 
 
 @dataclass(frozen=True)
@@ -64,13 +68,10 @@ def initial_superposition(setup: InterferenceSetup) -> SpinorField:
     whose rounding does not grow with p."""
     length = setup.shape[0]
     n = round(setup.q * length / (4.0 * math.pi))
-    phase = np.exp(1j * (2.0 * math.pi / length) * ((n * np.arange(length)) % length))
-    phase_x = phase[:, None] * np.ones((1, length))
-    phase_y = np.ones((length, 1)) * phase[None, :]
-    data = np.stack((
-        POLARIZATION_X[0] * phase_x + POLARIZATION_Y[0] * phase_y,
-        POLARIZATION_X[1] * phase_x + POLARIZATION_Y[1] * phase_y))
-    return SpinorField(data)
+    phase = np.exp(1j * (2.0 * math.pi / length)
+                   * (((n % length) * np.arange(length)) % length))
+    return SpinorField(POLARIZATION_X[:, None, None] * phase[:, None]
+                       + POLARIZATION_Y[:, None, None] * phase)
 
 
 def initial_density_formula(q: float, u) -> np.ndarray:
@@ -118,22 +119,20 @@ def step_response(setup: InterferenceSetup, tolerance: float = 1e-10
     field1 = step(field0, 0, provider, WalkParams(epsilon=1.0, mass=0.0, xi=setup.xi))
     delta = (field1.density() - n0) / (setup.xi * setup.g0 * n0)
 
-    length = setup.shape[0]
-    p1 = np.arange(length)[:, None]
-    p2 = np.arange(length)[None, :]
-    u_index = (p1 - p2) % length
+    # row u holds the diagonal p1 - p2 = u (mod L), in the order of p1; a
+    # negative column p1 - u indexes from the end, which is its value mod L
+    p = np.arange(setup.shape[0])
+    diag = delta[p, p - p[:, None]]
     floor = 256.0 * np.finfo(float).eps / abs(setup.xi * setup.g0)
     tol = max(tolerance, floor)
-    values = np.empty(length)
-    for u in range(length):
-        diag = delta[u_index == u]
-        spread = float(diag.max() - diag.min())
-        if spread > tol:
-            raise ConsistencyError(
-                f"response not constant along diagonal u={u}: spread "
-                f"{spread:.3e} exceeds {tol:.3e}")
-        values[u] = diag.mean()
-    return n0, delta, DensityProfile(setup.q, np.arange(length), values)
+    spread = diag.max(axis=1) - diag.min(axis=1)
+    over = np.flatnonzero(spread > tol)
+    if over.size:
+        u = int(over[0])
+        raise ConsistencyError(
+            f"response not constant along diagonal u={u}: spread "
+            f"{spread[u]:.3e} exceeds {tol:.3e}")
+    return n0, delta, DensityProfile(setup.q, p, diag.mean(axis=1))
 
 
 def delta_simulated(setup: InterferenceSetup,
@@ -161,10 +160,6 @@ def delta_max(q: float) -> float:
     return 2.0 * _SQRT2 * s2 * root / (2.0 - _SQRT2 * abs(math.cos(q)) * root - s2)
 
 
-#: offsets evaluated in one array pass of :func:`delta_max_integer`
-_OFFSETS_PER_PASS = 1 << 16
-
-
 def delta_max_integer(q):
     """max over integer offsets u covering one period of |delta(q, u)|.
 
@@ -174,13 +169,20 @@ def delta_max_integer(q):
 
     ``q`` is a number, which gives a float, or a 1-D array, which gives an
     array of the same length; every entry must lie in [0, pi), and q = 0
-    gives 0.  Each q's offsets 0 .. ceil(4 pi / q) are laid end to end and
-    evaluated in passes of at most ``_OFFSETS_PER_PASS`` offsets, each q's
-    maximum taken with ``np.maximum.reduceat``, so the working arrays keep
-    that size however many q there are and however long one period is.
-    Beyond them it holds a few numbers per q.  sin(q)^2 is taken per q
-    with C ``pow``, as ``delta_formula`` takes it on a scalar: an array's
-    ``** 2`` squares, which can differ in the last bit.
+    gives 0.  The offsets are 0 .. N with N = ceil(4 pi / q), but only a
+    few are evaluated.  With phi = q u / 2, delta is proportional to
+    cos(phi - q) / (2 + sqrt(2) cos phi), whose derivative in phi
+    vanishes only where sin(phi - q) = sin(q) / sqrt(2): at
+    u1 = 2 + 2 a / q and u2 = 2 + 2 (pi - a) / q, with
+    a = arcsin(sin(q) / sqrt(2)), both inside [0, N].  So delta is
+    monotone on [0, u1], [u1, u2] and [u2, N], and |delta| over the
+    integers of each piece is largest at its first or last one: at 0, at
+    N, or at floor(u_i) or floor(u_i) + 1.  The candidates are 0, N and
+    floor(u_i) + {-1, 0, 1, 2}, a margin for rounding in u_i, clipped to
+    [0, N]; these at most ten offsets are evaluated one column at a time,
+    so the working arrays hold a few numbers per q.  sin(q)^2 is taken per
+    q with C ``pow``, as ``delta_formula`` takes it on a scalar: an
+    array's ``** 2`` squares, which can differ in the last bit.
     """
     qs = np.asarray(q, dtype=float)
     if qs.ndim > 1:
@@ -189,29 +191,22 @@ def delta_max_integer(q):
     bad = ~((flat >= 0.0) & (flat < math.pi))
     if bad.any():
         raise ConfigurationError(f"q must lie in [0, pi), got {float(flat[bad][0])!r}")
-    with np.errstate(divide="ignore", over="ignore"):
+    sines = np.sin(flat)
+    sin2 = np.array([s ** 2 for s in sines.tolist()])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         periods = np.where(flat > 0.0, np.ceil(4.0 * math.pi / flat), 0.0)
+        a = np.arcsin(sines / _SQRT2)
+        humps = (np.floor(2.0 + 2.0 * a / flat), np.floor(2.0 + 2.0 * (math.pi - a) / flat))
     if periods.size and not periods.max() < 2.0 ** 53:
         raise ConfigurationError(
             f"q = {float(flat[periods.argmax()])!r} is too small: one period has "
             "more integer offsets than a float counts exactly")
-    counts = periods.astype(np.int64) + 1
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    sin2 = np.array([s ** 2 for s in np.sin(flat).tolist()])
-    best = np.zeros(flat.size)
-    total = int(counts.sum())
-    for lo in range(0, total, _OFFSETS_PER_PASS):
-        hi = min(lo + _OFFSETS_PER_PASS, total)
-        # the q whose offsets overlap [lo, hi), and where each one's part starts
-        first, last = np.searchsorted(ends, lo, "right"), np.searchsorted(starts, hi)
-        parts = np.maximum(starts[first:last], lo)
-        which = np.repeat(np.arange(first, last),
-                          np.minimum(ends[first:last], hi) - parts)
-        u = (np.arange(lo, hi) - starts[which]).astype(float)
-        values = np.abs(_delta_over_sin2(flat[which], u) * sin2[which])
-        part_max = np.maximum.reduceat(values, parts - lo)
-        np.maximum(best[first:last], part_max, out=best[first:last])
+    best = np.abs(_delta_over_sin2(flat, 0.0) * sin2)
+    shifted = (hump + k for hump in humps for k in (-1.0, 0.0, 1.0, 2.0))
+    for u in itertools.chain((periods,), shifted):
+        # fmax drops the NaN that q = 0 gives a hump; its period 0 clips it to 0
+        u = np.minimum(np.fmax(u, 0.0), periods)
+        np.maximum(best, np.abs(_delta_over_sin2(flat, u) * sin2), out=best)
     return float(best[0]) if qs.ndim == 0 else best
 
 

@@ -238,10 +238,11 @@ class TestRuns:
         _, prof = read_csv(tmp_path / "out" / "interference_profile.csv")
         assert len(prof) == 32
 
-    def test_interference_on_a_large_lattice_is_0(self, tmp_path):
+    @pytest.mark.parametrize("length", [256, 512])
+    def test_interference_on_a_large_lattice_is_0(self, tmp_path, length):
         # the initial phases are reduced in integers, so their rounding does
         # not grow with the lattice past the diagonal check's floor
-        payload = {"experiment": "interference", "lattice": [256, 256],
+        payload = {"experiment": "interference", "lattice": [length, length],
                    "out_dir": str(tmp_path / "out")}
         assert main(["--config", write_config(tmp_path, payload)]) == 0
         assert (tmp_path / "out" / "manifest.json").exists()
@@ -339,6 +340,18 @@ class TestMainExitCodes:
                      str(tmp_path / "missing.json")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_q_too_large_to_snap_is_2_naming_q(self, tmp_path, capsys):
+        # q * L / (4 pi) overflows to inf, which has no admissible neighbour
+        code = main(["--experiment", "interference", "--q", "1e308",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "config error: q = 1e+308 " in capsys.readouterr().err
+
+    def test_q_past_the_int64_range_is_0(self, tmp_path):
+        # q * L / (4 pi) = 5e20 is finite; the phases reduce it mod L first
+        assert main(["--experiment", "interference", "--q", "1e20",
+                     "--out", str(tmp_path / "out")]) == 0
 
     def test_unknown_key_is_2(self, tmp_path):
         path = tmp_path / "c.json"

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 from gwalk import interference
 from gwalk.cli import parse_config, run
 from gwalk.csvio import sha256_file
-from gwalk.errors import ConfigurationError
+from gwalk.errors import ConfigurationError, ConsistencyError
 from gwalk.interference import (InterferenceSetup, admissible_q,
                                 delta_formula, delta_max,
                                 delta_max_integer, delta_max_peak, deltam_rows,
@@ -101,6 +100,12 @@ class TestSetup:
         assert q == pytest.approx(10 * math.pi / 16)
         assert abs(q - 1.97504) < 4 * math.pi / 64
 
+    @pytest.mark.parametrize("q", [math.inf, 1e308])
+    def test_q_too_large_to_snap_is_a_config_error_naming_q(self, q):
+        # q * L / (4 pi) overflows to inf, which has no nearest integer
+        with pytest.raises(ConfigurationError, match=r"^q = "):
+            InterferenceSetup(q=q)
+
 
 class TestInitialSuperposition:
     def test_density_formula_pointwise(self):
@@ -177,6 +182,21 @@ class TestDeltaSimulated:
         with pytest.raises(ConfigurationError):
             delta_simulated(make_setup(xi=0.0))
 
+    def test_first_inconsistent_diagonal_is_named(self, monkeypatch):
+        # sites (5, 2) and (1, 10) lie on u = 3 and u = 55; the check names
+        # the smaller u, and no diagonal before it
+        exact_step = interference.step
+
+        def perturbed_step(*args, **kwargs):
+            field = exact_step(*args, **kwargs)
+            field.data[0, 1, 10] *= 1.001
+            field.data[0, 5, 2] *= 1.001
+            return field
+
+        monkeypatch.setattr(interference, "step", perturbed_step)
+        with pytest.raises(ConsistencyError, match=r"not constant along diagonal u=3: "):
+            delta_simulated(make_setup())
+
 
 class TestDeltaMax:
     def test_local_minimum_at_half_pi(self):
@@ -246,15 +266,12 @@ class TestDeltaMax:
 
 class TestDeltaMaxInteger:
     @settings(max_examples=60, deadline=None)
-    @given(qs=st.lists(Q_ENTRIES, max_size=10), cap=st.integers(1, 1 << 16))
-    @example(qs=np.linspace(0.0, math.pi, 64, endpoint=False).tolist(), cap=1)
-    def test_array_equals_the_per_q_oracle_bit_for_bit(self, qs, cap):
+    @given(qs=st.lists(Q_ENTRIES, max_size=10))
+    @example(qs=np.linspace(0.0, math.pi, 64, endpoint=False).tolist())
+    def test_array_equals_the_per_q_oracle_bit_for_bit(self, qs):
         expected = [integer_delta_max(q) for q in qs]
-        # at most a few hundred passes, however small the drawn cap
-        total = sum(int(math.ceil(4.0 * math.pi / q)) + 1 if q else 1 for q in qs)
-        with mock.patch.object(interference, "_OFFSETS_PER_PASS", max(cap, total // 256)):
-            got = delta_max_integer(np.array(qs))
-            scalars = [delta_max_integer(q) for q in qs]
+        got = delta_max_integer(np.array(qs))
+        scalars = [delta_max_integer(q) for q in qs]
         assert got.tolist() == expected
         assert scalars == expected
 
@@ -287,17 +304,17 @@ class TestDeltaMaxInteger:
     def test_peak_memory_does_not_grow_with_the_number_of_q(self):
         cap = 4096
         peaks = {}
-        with mock.patch.object(interference, "_OFFSETS_PER_PASS", cap):
-            for n in (1024, 8192):
-                qs = np.linspace(0.0, math.pi, n, endpoint=False)
-                tracemalloc.start()
-                try:
-                    delta_max_integer(qs)
-                    peaks[n] = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-        # a pass holds a few arrays of cap offsets, and each q a few numbers;
-        # the 8192 q's 300,000 offsets in one pass would take about 17 MB
+        for n in (1024, 8192):
+            qs = np.linspace(0.0, math.pi, n, endpoint=False)
+            tracemalloc.start()
+            try:
+                delta_max_integer(qs)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # each q holds a few numbers, beyond a fixed allowance of 16 arrays
+        # of cap floats; the 8192 q's 300,000 offsets at once would take
+        # about 17 MB
         assert peaks[8192] < 16 * 8 * cap + 128 * 8192
         assert peaks[8192] - peaks[1024] < 128 * (8192 - 1024)
 
