@@ -4,21 +4,29 @@ Grids are formatted by a numpy kernel that gives the bytes of ``b"%.17g" % x``
 for whole float64 blocks (``_format17``): the exact 17-digit decimal comes
 from the binary mantissa times a power of five in 28-bit limbs, its digits
 from a 4-digit table, and the ``%g`` layout from one table of byte offsets.
+The tables are built on the first grid write.
 
-A grid is written in blocks of first-axis rows.  Where the two halves of
-every row of a block hold the same bits, as in a grid sampled on a periodic
-cell and tiled (``spectral.SpectrumGrid``), the kernel formats the first
-halves only and their bytes are copied into the second: the same bytes as
-formatting every value, for half the work.  Each kernel call still takes
-about ``_BLOCK`` values, as smaller calls cost more per value.
+Before writing, the grid writer checks, a few rows at a time up to the first
+difference, whether rows i and i + n1/2, then columns j and j + n2/2, hold
+the same bits in every field, as in a periodic cell tiled by
+``spectral.SpectrumGrid``.  One loop then formats the distinct columns of
+each block of distinct rows, about ``_BLOCK`` values per kernel call, copies
+the text into the column translate and writes the rows, then again with the
+qX text of their row translate; those rows come later in the file, so they
+wait in an anonymous temporary file beside it.  A grid that does not repeat
+runs the same loop with its full size as the period.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import math
 import os
+import shutil
+import tempfile
+import types
 from collections import namedtuple
 
 import numpy as np
@@ -35,34 +43,7 @@ def _bits(x: float) -> int:
     return int(np.array(x).view(np.int64))
 
 
-#: |x| in [1e-39, 1e16) takes the kernel; 0, subnormals, non-finite and other
-#: magnitudes take Python's ``%``.  Over this range 5**k fits in five 28-bit
-#: limbs: 5**56 < 2**131, for x = 1e-39 < 10**-39.
-_FAST = _bits(1e-39), _bits(1e16)
-_ONE = _bits(1.0)
 _LIMB, _MASK = 28, (1 << 28) - 1
-_POW5 = np.array([[(5 ** k >> _LIMB * j) & _MASK for k in range(57)] for j in range(5)])
-#: limbs of 5**k, by k, and the first bit of each limb
-_POW5_LIMBS = [-(-(5 ** k).bit_length() // _LIMB) for k in range(57)]
-_LIMB_START = _LIMB * np.arange(6)[:, None]
-#: floor(1024 log2(1 + i / 1024)): log2 of the mantissa's top ten bits
-_LOG2_TOP = np.array([math.floor(1024 * math.log2(1 + i / 1024)) for i in range(1024)])
-#: the four ASCII digits of 0..9999 as one word, and their trailing zeros;
-#: built with the int64 loops the kernel runs anyway
-_DIGITS4 = np.empty((10000, 4), np.uint8)
-_ZEROS4 = np.zeros(10000, np.int64)
-_rest, _digits = np.arange(10000), []
-for _i, _place in enumerate((1000, 100, 10, 1)):
-    _digit, _rest = np.divmod(_rest, _place)
-    _DIGITS4[:, _i] = _digit + ord("0")
-    _digits.append(_digit)
-_run = -1                           # -1 while every digit from the right is 0
-for _digit in reversed(_digits):
-    _run = _run & ((_digit - 1) >> 63)
-    _ZEROS4 -= _run
-_WORDS4 = _DIGITS4.view(np.uint32).ravel()
-del _i, _place, _rest, _digit, _digits, _run
-
 #: text width: the longest ``%.17g`` (24 bytes, "-2.2250738585072014e-308")
 #: and its separator
 _WIDTH = 25
@@ -71,7 +52,8 @@ _WIDTH = 25
 #:   digits, 24, 25 '0', 26, 27 the two exponent digits, 28 the separator,
 #:   29 '-'; the scientific form's exponents are all negative
 _SOURCE = 32
-_HEADS = np.frombuffer(b"\0\0.e\0-.e", np.uint32)      # by sign
+#: values laid out per gather
+_GATHER = 256
 
 
 def _layout_table() -> np.ndarray:
@@ -101,10 +83,40 @@ def _layout_table() -> np.ndarray:
     return np.array(rows)
 
 
-_LAYOUT = _layout_table()
-#: values laid out per gather, and the offsets of their source rows
-_GATHER = 256
-_ROW_STARTS = _SOURCE * np.arange(_GATHER)[:, None]
+@functools.cache
+def _tables() -> types.SimpleNamespace:
+    """The kernel's tables, built on its first call rather than at import:
+    a run that writes no grid never pays for them."""
+    t = types.SimpleNamespace()
+    # |x| in [1e-39, 1e16) takes the kernel; 0, subnormals, non-finite and
+    # other magnitudes take Python's ``%``.  Over this range 5**k fits in
+    # five 28-bit limbs: 5**56 < 2**131, for x = 1e-39 < 10**-39.
+    t.fast, t.one = (_bits(1e-39), _bits(1e16)), _bits(1.0)
+    t.pow5 = np.array([[(5 ** k >> _LIMB * j) & _MASK for k in range(57)] for j in range(5)])
+    # limbs of 5**k, by k, and the first bit of each limb
+    t.pow5_limbs = [-(-(5 ** k).bit_length() // _LIMB) for k in range(57)]
+    t.limb_start = _LIMB * np.arange(6)[:, None]
+    # floor(1024 log2(1 + i / 1024)): log2 of the mantissa's top ten bits
+    t.log2_top = np.array([math.floor(1024 * math.log2(1 + i / 1024)) for i in range(1024)])
+    # the four ASCII digits of 0..9999 as one word, and their trailing
+    # zeros; built with the int64 loops the kernel runs anyway
+    digits4 = np.empty((10000, 4), np.uint8)
+    t.zeros4 = np.zeros(10000, np.int64)
+    rest, digits = np.arange(10000), []
+    for i, place in enumerate((1000, 100, 10, 1)):
+        digit, rest = np.divmod(rest, place)
+        digits4[:, i] = digit + ord("0")
+        digits.append(digit)
+    run = -1                            # -1 while every digit from the right is 0
+    for digit in reversed(digits):
+        run = run & ((digit - 1) >> 63)
+        t.zeros4 -= run
+    t.words4 = digits4.view(np.uint32).ravel()
+    t.heads = np.frombuffer(b"\0\0.e\0-.e", np.uint32)    # by sign
+    t.layout = _layout_table()
+    # the offsets of a gather's source rows
+    t.row_starts = _SOURCE * np.arange(_GATHER)[:, None]
+    return t
 
 
 def _round17(m, e2, x10):
@@ -114,11 +126,12 @@ def _round17(m, e2, x10):
     bits, keeping one more: the half bit.  The bits below it are zero only
     where ``m`` has as many trailing zero bits, as 5**k is odd.
     """
+    t = _tables()
     k = 16 - x10
     m = m << 3                      # e2 + k <= 2 below 1e16: the cut stays >= 0
     cut = 2 - e2 - k                # the half bit's position in m * 5**k
-    limbs = _POW5_LIMBS[k[k.argmax()]]   # k.max() would map one more loop
-    p = _POW5[:limbs].take(k, axis=1)
+    limbs = t.pow5_limbs[k[k.argmax()]]   # k.max() would map one more loop
+    p = t.pow5[:limbs].take(k, axis=1)
     acc = np.zeros((limbs + 1, m.size), np.int64)
     np.multiply(p, m & _MASK, out=acc[:-1])
     p *= m >> _LIMB
@@ -129,7 +142,7 @@ def _round17(m, e2, x10):
         acc[j] &= _MASK
     # limb j moves left by its first bit minus the cut; a negative shift
     # count gives 0, so each limb takes the one of its two shifts it needs
-    left = _LIMB_START[:limbs + 1] - cut
+    left = t.limb_start[:limbs + 1] - cut
     high = acc << left
     acc >>= np.negative(left, out=left)
     acc |= high
@@ -147,18 +160,19 @@ def _format17(values, sep: bytes, out) -> None:
 
     Each intermediate is freed once spent, which keeps a block's working
     memory to a few hundred bytes per value."""
+    t = _tables()
     n = values.size
     bits = values.view(np.int64)
     a = bits & ((1 << 63) - 1)
-    gap = (a - _FAST[0]) | (_FAST[1] - 1 - a)   # negative outside the range
+    gap = (a - t.fast[0]) | (t.fast[1] - 1 - a)   # negative outside the range
     slow = np.flatnonzero(gap >> 63)
-    a[slow] = _ONE
+    a[slow] = t.one
     m = (a & ((1 << 52) - 1)) | (1 << 52)
     e2 = (a >> 52) - 1075
     del a, gap
     # a lower bound of 1024 log2 |x| times log10(2) 2**40, just below it:
     # floor(log10 |x|) or one less, for every |x| in the range
-    log2 = ((e2 + 52) << 10) + _LOG2_TOP.take((m >> 42) & 1023)
+    log2 = ((e2 + 52) << 10) + t.log2_top.take((m >> 42) & 1023)
     x10 = (log2 * 330985980541) >> 50
     del log2
     q = _round17(m, e2, x10)
@@ -175,24 +189,24 @@ def _format17(values, sep: bytes, out) -> None:
     np.divmod(low, 10 ** 4, out=(digits[3], digits[4]))
     del q, high, low
     source = np.empty((n, _SOURCE // 4), np.uint32)
-    source[:, 0] = _HEADS.take((bits >> 63) & 1)
-    source[:, 1:6] = _WORDS4.take(digits).T
-    source[:, 6] = _WORDS4.take(-x10 & 127)     # -x10 where scientific
+    source[:, 0] = t.heads.take((bits >> 63) & 1)
+    source[:, 1:6] = t.words4.take(digits).T
+    source[:, 6] = t.words4.take(-x10 & 127)     # -x10 where scientific
     source[:, 7] = np.frombuffer((sep + b"-").ljust(4, b"\0"), np.uint32)[0]
-    zeros = _ZEROS4.take(digits[4])
+    zeros = t.zeros4.take(digits[4])
     for g in (3, 2, 1):             # the groups right of g are all zeros:
         more = np.flatnonzero((zeros + 4 * g) >> 4)     # count on into g
         if not more.size:
             break
-        zeros[more] += _ZEROS4.take(digits[g, more])
+        zeros[more] += t.zeros4.take(digits[g, more])
     form = x10 + 4                  # the fixed forms, 0..19
     form[np.flatnonzero(form >> 63)] = 20       # and the scientific one
     code = form * 18 + 17 - zeros
     del digits, zeros
     flat = source.view(np.uint8).ravel()
     for start in range(0, n, _GATHER):      # bounds the (values, _WIDTH) index
-        index = _LAYOUT.take(code[start:start + _GATHER], axis=0)
-        index += _ROW_STARTS[:len(index)] + _SOURCE * start
+        index = t.layout.take(code[start:start + _GATHER], axis=0)
+        index += t.row_starts[:len(index)] + _SOURCE * start
         out[start:start + _GATHER] = flat.take(index)
     if slow.size:
         text = b"".join((b"%.17g" % x + sep).rjust(_WIDTH, b"\0")
@@ -217,12 +231,22 @@ def _texts(values, sep: bytes, right: bool) -> np.ndarray:
     return np.frombuffer(joined, np.uint8).reshape(len(texts), width)
 
 
-class Grid(namedtuple("Grid", "fields axes")):
-    """2D fields of one shape and their axes.  ``chunks`` formats each axis
-    value once, and each block's repeated half rows once (module docstring),
-    and yields (bytes, rows) per kernel call's rows."""
+def _same_bits(pairs) -> bool:
+    """Whether the two arrays of each pair hold the same bits (-0.0 is not
+    0.0), up to the first pair that does not; numpy's array_equal would map
+    about 0.3 MiB more of its code."""
+    return not any(np.bitwise_or.reduce(np.asarray(a, np.float64).view(np.int64)
+                                        - np.asarray(b, np.float64).view(np.int64),
+                                        axis=None)
+                   for a, b in pairs)
 
-    def chunks(self):
+
+class Grid(namedtuple("Grid", "fields axes")):
+    """2D fields of one shape and their axes, written by ``write`` (module
+    docstring)."""
+
+    def write(self, fh) -> int:
+        """Write the rows to ``fh``; returns their count."""
         n1, n2 = len(self.axes[0]), len(self.axes[1])
         for f in self.fields:
             if np.shape(f) != (n1, n2):
@@ -231,42 +255,44 @@ class Grid(namedtuple("Grid", "fields axes")):
             if np.iscomplexobj(f):
                 raise TypeError("%.17g takes real grid fields, not complex ones")
         if not n1 * n2:
-            return
+            return 0
+        # the distinct rows p1, then columns p2 within them, compared a few
+        # rows at a time
+        h1, h2, step = n1 // 2, n2 // 2, max(1, _BLOCK // n2)
+        p1, p2 = n1, n2
+        if not n1 % 2 and _same_bits((f[:h1][s:s + step], f[h1:][s:s + step])
+                                     for f in self.fields for s in range(0, h1, step)):
+            p1 = h1
+        if not n2 % 2 and _same_bits((f[s:s + step, :h2], f[s:s + step, h2:])
+                                     for f in self.fields for s in range(0, p1, step)):
+            p2 = h2
         xs = _texts(self.axes[0], b",", right=True)
         ys = _texts(self.axes[1], b",", right=False)
         seps = [b","] * (len(self.fields) - 1) + [b"\n"]
-        rows = max(1, _BLOCK // n2)         # first-axis rows per format call
-        half = 0 if n2 % 2 else n2 // 2
-        span = 2 * rows if half else rows   # first-axis rows per block
+        rows = max(1, _BLOCK // p2)         # distinct rows per kernel call
         wx, wy = xs.shape[1], ys.shape[1]
-        lines = np.empty((span * n2, wx + wy + _WIDTH * len(seps)), np.uint8)
-        lines.reshape(span, n2, -1)[:, :, wx:wx + wy] = ys
-        texts = np.empty((rows * n2, _WIDTH), np.uint8)     # a block's half rows
-        for start in range(0, n1, span):
-            stop = min(start + span, n1)
-            block = lines[:(stop - start) * n2]
-            block.reshape(stop - start, n2, -1)[:, :, :wx] = xs[start:stop, None]
-            for i, (f, sep) in enumerate(zip(self.fields, seps)):
-                col = wx + wy + _WIDTH * i
-                values = np.asarray(f[start:stop], dtype=np.float64)
-                bits = values.view(np.int64)
-                # the same bits in both halves of every row (-0.0 is not 0.0);
-                # numpy's array_equal would map about 0.3 MiB more of its code
-                if half and not np.bitwise_or.reduce(bits[:, :half] - bits[:, half:],
-                                                     axis=None):
-                    first = values[:, :half]
-                    text = texts[:first.size]
-                    _format17(first.ravel(), sep, text)
-                    out = block.reshape(stop - start, n2, -1)[:, :, col:col + _WIDTH]
-                    out[:, :half] = out[:, half:] = text.reshape(first.shape + (_WIDTH,))
-                    continue
-                for s in range(0, stop - start, rows):
-                    _format17(values[s:s + rows].ravel(), sep,
-                              block[s * n2:(s + rows) * n2, col:col + _WIDTH])
-            # one format call's lines per chunk: larger chunks raise peak RSS
-            for s in range(0, len(block), rows * n2):
-                part = block[s:s + rows * n2]
-                yield part.tobytes().translate(None, b"\0"), len(part)
+        lines = np.empty((rows, n2 // p2, p2, wx + wy + _WIDTH * len(seps)), np.uint8)
+        lines[..., wx:wx + wy] = ys.reshape(n2 // p2, p2, wy)
+        texts = np.empty((rows * p2, _WIDTH), np.uint8)
+        # rows p1.. follow rows ..p1 in the file: they wait in an anonymous
+        # file beside it
+        with tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(fh.name))) as later:
+            for start in range(0, p1, rows):
+                stop = min(start + rows, p1)
+                block, text = lines[:stop - start], texts[:(stop - start) * p2]
+                for i, (f, sep) in enumerate(zip(self.fields, seps)):
+                    _format17(np.asarray(f[start:stop, :p2], np.float64).ravel(), sep, text)
+                    col = wx + wy + _WIDTH * i
+                    block[..., col:col + _WIDTH] = text.reshape(-1, 1, p2, _WIDTH)
+                flat = block.reshape(-1, block.shape[-1])
+                for k, out in enumerate((fh, later)[:n1 // p1]):
+                    block[..., :wx] = xs[k * p1 + start:k * p1 + stop, None, None]
+                    # about one kernel call's lines per write: more raise peak RSS
+                    for s in range(0, len(flat), step * n2):
+                        out.write(flat[s:s + step * n2].tobytes().translate(None, b"\0"))
+            later.seek(0)
+            shutil.copyfileobj(later, fh, 1 << 16)
+        return n1 * n2
 
 
 def write_csv(path, header, rows) -> int:
@@ -279,13 +305,15 @@ def write_csv(path, header, rows) -> int:
     if grid and len(header) != 2 + len(rows.fields):
         raise ValueError(f"header {header} does not fit {len(rows.fields)} grid fields")
     template = b",".join([b"%.17g"] * len(header)) + b"\n"
-    chunks = rows.chunks() if grid else ((template % tuple(row), 1) for row in rows)
     count = 0
     with replacing(path) as fh:
         fh.write(",".join(header).encode() + b"\n")
-        for text, n in chunks:
-            fh.write(text)
-            count += n
+        if grid:
+            count = rows.write(fh)
+        else:
+            for row in rows:
+                fh.write(template % tuple(row))
+                count += 1
     return count
 
 

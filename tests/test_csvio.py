@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -11,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 from gwalk import csvio
 from gwalk.cli import parse_config, run
 from gwalk.csvio import grid_rows, sha256_file, write_csv
+from gwalk.spectral import SpectrumGrid, rho
 
 from oracles import read_csv
 
@@ -97,14 +101,18 @@ def test_failed_grid_write_leaves_no_tmp_and_keeps_earlier_file(tmp_path, monkey
 
 
 def test_grid_write_copies_no_whole_grid(tmp_path):
+    # the periodic grid takes the period check and the spill file: a
+    # difference of its halves would be half the grid
     values = np.random.default_rng(0).standard_normal((512, 512))
-    tracemalloc.start()
-    try:
-        write_csv(tmp_path / "grid.csv", ["x", "y", "v"], grid_rows(values))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.25 * values.nbytes
+    periodic = np.tile(values[:256, :256], (2, 2))
+    for grid in (values, periodic):
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "grid.csv", ["x", "y", "v"], grid_rows(grid))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * grid.nbytes
 
 
 @pytest.mark.parametrize("header", [["x", "y", "a"], ["x", "y", "a", "b", "c"]])
@@ -201,7 +209,8 @@ def half_rows(draw, n1, half, odd):
     second = first.copy()
     if draw(st.booleans()):
         site = draw(st.integers(0, n1 - 1)), draw(st.integers(0, half - 1))
-        second[site] = np.nextafter(second[site], draw(st.sampled_from([-np.inf, np.inf])))
+        with np.errstate(over="ignore"):            # the largest float steps to inf
+            second[site] = np.nextafter(second[site], draw(st.sampled_from([-np.inf, np.inf])))
     return np.concatenate([first, second] + [first[:, :1]] * odd, axis=1)
 
 
@@ -221,6 +230,110 @@ def test_grid_with_repeated_half_rows_writes_the_bytes_of_percent(
     fields = [data.draw(half_rows(n1, half, odd)) for _ in range(data.draw(st.integers(1, 2)))]
     grid, rows = write_with_block(tmp_path_factory.mktemp("halves") / "grid.csv", fields, block)
     assert grid == rows
+
+
+@st.composite
+def periodic_fields(draw):
+    """1-3 fields tiled from one cell, so that rows i and i + n1/2 and columns
+    j and j + n2/2 repeat, and at will one more row or column (odd n1, n2).
+    Each field may then break the repeat once: one site one ulp away, or one
+    translate of a zero cell site turned into -0.0."""
+    h1, h2, odd1, odd2 = draw(st.tuples(st.integers(1, 6), st.integers(1, 6),
+                                        st.booleans(), st.booleans()))
+    fields = []
+    for _ in range(draw(st.integers(1, 3))):
+        cell = draw(hnp.arrays(np.float64, (h1, h2), elements=FLOATS))
+        i, j = draw(st.integers(0, h1 - 1)), draw(st.integers(0, h2 - 1))
+        change = draw(st.sampled_from([None, "ulp", "sign"]))
+        if change == "sign":
+            cell[i, j] = 0.0
+        f = np.tile(cell, (2, 2))
+        f = np.concatenate([f] + [f[:1]] * odd1, axis=0)
+        f = np.concatenate([f] + [f[:, :1]] * odd2, axis=1)
+        if change == "sign":
+            f[i + h1 * draw(st.integers(0, 1)), j + h2 * draw(st.integers(0, 1))] = -0.0
+        elif change == "ulp":
+            site = draw(st.integers(0, f.shape[0] - 1)), draw(st.integers(0, f.shape[1] - 1))
+            with np.errstate(over="ignore"):        # the largest float steps to inf
+                f[site] = np.nextafter(f[site], draw(st.sampled_from([-np.inf, np.inf])))
+        fields.append(f)
+    return fields
+
+
+@given(periodic_fields(), st.integers(1, 16))
+def test_grid_with_repeated_rows_and_columns_writes_the_bytes_of_percent(
+        tmp_path_factory, fields, block):
+    grid, rows = write_with_block(tmp_path_factory.mktemp("periodic") / "grid.csv",
+                                  fields, block)
+    assert grid == rows
+
+
+def counting_format17(monkeypatch):
+    """Patch ``_format17`` to record the number of values of each call."""
+    counts, format17 = [], csvio._format17
+
+    def counting(values, sep, out):
+        counts.append(values.size)
+        format17(values, sep, out)
+
+    monkeypatch.setattr(csvio, "_format17", counting)
+    return counts
+
+
+def spectrum_bytes(path, values, grid):
+    """The bytes ``write_csv`` gives for ``values`` on ``grid``'s axes, and
+    those of the oracle's per-site rows."""
+    header, axes = ["qX", "qY", "value"], (grid.qx, grid.qy)
+    assert write_csv(path, header, grid_rows(values, axes=axes)) == values.size
+    write_csv(path.with_suffix(".rows"), header, oracle_grid_rows(values, axes=axes))
+    return path.read_bytes(), path.with_suffix(".rows").read_bytes()
+
+
+@pytest.mark.parametrize("resolution, formatted", [(64, 32 * 32), (63, 63 * 63)])
+def test_periodic_spectrum_formats_each_distinct_value_once(
+        tmp_path, monkeypatch, resolution, formatted):
+    grid = SpectrumGrid.sample(rho, resolution, "rho")
+    counts = counting_format17(monkeypatch)
+    assert grid.to_csv(tmp_path / "rho.csv") == resolution ** 2
+    assert sum(counts) == formatted
+    written, oracle = spectrum_bytes(tmp_path / "grid.csv", grid.values, grid)
+    assert written == (tmp_path / "rho.csv").read_bytes() == oracle
+
+
+def test_periodic_spectrum_with_one_site_moved_writes_the_bytes_of_percent(tmp_path):
+    grid = SpectrumGrid.sample(rho, 64, "rho")
+    values = grid.values.copy()
+    values[40, 21] = np.nextafter(values[40, 21], np.inf)
+    written, oracle = spectrum_bytes(tmp_path / "grid.csv", values, grid)
+    assert written == oracle
+
+
+def test_failed_periodic_grid_write_leaves_only_the_earlier_file(tmp_path, monkeypatch):
+    # the third kernel call comes after rows of the second half were spilled
+    path = tmp_path / "grid.csv"
+    write_csv(path, ["n", "x"], [(0, 0.5)])
+    earlier = path.read_bytes()
+    calls, format17 = [], csvio._format17
+
+    def failing(values, sep, out):
+        calls.append(values.size)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        format17(values, sep, out)
+
+    monkeypatch.setattr(csvio, "_format17", failing)
+    values = np.tile(np.random.default_rng(2).standard_normal((128, 128)), (2, 2))
+    with pytest.raises(OSError, match="disk full"):
+        write_csv(path, ["x", "y", "v"], grid_rows(values))
+    assert len(calls) == 3
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == earlier
+
+
+def test_importing_the_cli_builds_no_kernel_table():
+    code = "import gwalk.cli, gwalk.csvio as c; raise SystemExit(c._tables.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_signed_zeros_do_not_repeat_a_half_row(tmp_path):
