@@ -19,7 +19,8 @@ import numpy as np
 
 from . import continuum, geometry, interference, spectral, walk
 from .csvio import grid_rows, replacing, sha256_file, write_csv
-from .errors import ConfigurationError, ConsistencyError, WalkError
+from .errors import (ConfigurationError, ConsistencyError, WalkError, choice, even_pair,
+                     finite, finite_list, integer, optional)
 
 EXPERIMENTS = ("evolve", "spectrum", "rho-max", "unaffected-modes",
                "interference", "deltam-sweep", "continuum-check", "gw-angles")
@@ -32,55 +33,6 @@ OUT_DIR_ENV = "GWALK_OUT"
 NORM_DRIFT_TOL = 1e-10
 
 
-# ---------------------------------------------------------------------------
-# config kinds: each checks a value named ``name`` and returns it resolved
-# ---------------------------------------------------------------------------
-
-#: the lower bounds a finite number may take, by the word that names them
-_BOUNDS = {"positive": (0.0).__lt__, "nonnegative": (0.0).__le__}
-
-
-def _finite(value, name: str, bound: str | None = None) -> float:
-    """A number, finite as a float, within ``bound``; a bool is not a number."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):
-        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
-    if bound and not _BOUNDS[bound](value):
-        raise ConfigurationError(f"{name} must be {bound}, got {value!r}")
-    return float(value)
-
-
-def _optional(value, name: str, kind, *constraint):
-    return None if value is None else kind(value, name, *constraint)
-
-
-def _finite_list(value, name: str, bound: str | None = None) -> tuple[float, ...]:
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigurationError(f"{name} must be a non-empty list, got {value!r}")
-    return tuple(_finite(v, name, bound) for v in value)
-
-
-def _integer(value, name: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return value
-
-
-def _even_pair(value, name: str) -> tuple[int, int]:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(v, int) and v > 0 and v % 2 == 0 for v in value)):
-        raise ConfigurationError(
-            f"{name} must be two positive even integers, got {value!r}")
-    return tuple(value)
-
-
-def _choice(value, name: str, choices: tuple) -> str:
-    if value not in choices:
-        raise ConfigurationError(
-            f"unknown {name} {value!r}; choose one of {', '.join(choices)}")
-    return value
-
-
 def _directory(value, name: str) -> str:
     """An output directory; null or empty takes $GWALK_OUT, else ``gwalk_out``."""
     if value is not None and not isinstance(value, str):
@@ -89,15 +41,15 @@ def _directory(value, name: str) -> str:
 
 
 #: the keys of each waveform primitive besides ``kind``
-_WAVEFORMS = {"constant": {"amplitude": (_finite, 0.0)},
-              "sine": {"amplitude": (_finite, 0.0), "omega": (_finite, 0.0)}}
+_WAVEFORMS = {"constant": {"amplitude": (finite, 0.0)},
+              "sine": {"amplitude": (finite, 0.0), "omega": (finite, 0.0)}}
 
 
 def _wave(spec, name: str):
     """``GwParams``' form of a waveform: null is 0, else a number or ``_WAVEFORMS``."""
     if not isinstance(spec, dict):
-        return 0.0 if spec is None else _finite(spec, name)
-    kind = _choice(spec.get("kind"), f"{name}.kind", tuple(_WAVEFORMS))
+        return 0.0 if spec is None else finite(spec, name)
+    kind = choice(spec.get("kind"), f"{name}.kind", tuple(_WAVEFORMS))
     wave = _resolve(_WAVEFORMS[kind], {k: v for k, v in spec.items() if k != "kind"}, name)
     amp, omega = wave["amplitude"], wave.get("omega")
     if kind == "constant":
@@ -113,28 +65,24 @@ def _wave(spec, name: str):
     return sine
 
 
-def _waveform(spec, name: str):
-    """A waveform spec, checked and kept as given, for the manifest."""
-    _wave(spec, name)
-    return spec
-
-
 #: Every config key, once: its kind, its default and the kind's constraint.
-#: A nested table is an object: any of its keys, and no other.
+#: A nested table is an object: any of its keys, and no other.  A waveform
+#: has no kind here: it is kept as given, for the manifest, and
+#: ``parse_config`` checks and builds it once, with ``_wave``.
 _SCHEMA = {
-    "experiment": (_choice, None, EXPERIMENTS),
-    "lattice": (_even_pair, (64, 64)),
-    "params": {"epsilon": (_finite, 1.0, "positive"), "m": (_finite, 0.0, "nonnegative"),
-               "xi": (_finite, 1e-4)},
-    "gw": {"F": (_waveform, {"kind": "constant", "amplitude": 0.0}),
-           "G": (_waveform, {"kind": "constant", "amplitude": 1.0}),
-           "K": (_finite, 0.0), "K_prime": (_finite, 0.0)},
-    "resolution": (_integer, 512, 2),
-    "steps": (_integer, 16, 0),
+    "experiment": (choice, None, EXPERIMENTS),
+    "lattice": (even_pair, (64, 64)),
+    "params": {"epsilon": (finite, 1.0, "positive"), "m": (finite, 0.0, "nonnegative"),
+               "xi": (finite, 1e-4)},
+    "gw": {"F": (None, {"kind": "constant", "amplitude": 0.0}),
+           "G": (None, {"kind": "constant", "amplitude": 1.0}),
+           "K": (finite, 0.0), "K_prime": (finite, 0.0)},
+    "resolution": (integer, 512, 2),
+    "steps": (integer, 16, 0),
     # accepted and recorded so older configs keep running; it has no effect
-    "threads": (_integer, 1, 1),
-    "q": (_optional, None, _finite, "positive"),
-    "epsilons": (_finite_list, (0.2, 0.1, 0.05, 0.025), "positive"),
+    "threads": (integer, 1, 1),
+    "q": (optional, None, finite, "positive"),
+    "epsilons": (finite_list, (0.2, 0.1, 0.05, 0.025), "positive"),
     "out_dir": (_directory, None),
 }
 
@@ -153,7 +101,8 @@ def _resolve(schema: dict, raw, context: str) -> dict:
             resolved[key] = _resolve(spec, raw.get(key, {}), name)
         else:
             kind, default, *constraint = spec
-            resolved[key] = kind(raw.get(key, default), name, *constraint)
+            value = raw.get(key, default)
+            resolved[key] = value if kind is None else kind(value, name, *constraint)
     return resolved
 
 
@@ -220,7 +169,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
 # ---------------------------------------------------------------------------
 
 def _run_spectrum(cfg: RunConfig, out: Path, artifacts: list, metrics: dict):
-    grid = spectral.SpectrumGrid.sample(spectral.rho, cfg.resolution, "rho")
+    grid = spectral.SpectrumGrid.sample(spectral.rho, cfg.resolution)
     path = out / "rho.csv"
     artifacts.append((path, grid.to_csv(path)))
     imax = np.unravel_index(int(np.argmax(grid.values)), grid.values.shape)

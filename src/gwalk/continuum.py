@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import _ETA, _LEVI, DualTriad
-from .walk import AngleProvider, SpinorField, WalkParams, step, t_epsilon_field
+from .walk import KL_PAIRS, AngleProvider, SpinorField, WalkParams, step, t_epsilon_field
 
 GAMMA0 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 GAMMA1 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
@@ -99,11 +99,9 @@ def hamiltonian_from_provider(provider: AngleProvider, j: int,
     with the continuum one to first order in eps.
     """
     th = provider.fields(j, shape)
-    te = t_epsilon_field(provider, j, shape, params)
-    return HamiltonianField(
-        np.cos(th[(1, 1)]), np.cos(th[(1, 2)]),
-        np.cos(th[(2, 1)]), np.cos(th[(2, 2)]),
-        params.mass - te / 4.0, params.epsilon)
+    return hamiltonian_from_angles(*(th[kl] for kl in KL_PAIRS), params.mass,
+                                   t_epsilon_field(provider, j, shape, params),
+                                   params.epsilon)
 
 
 def _spectral_derivative(comp: np.ndarray, axis: int, epsilon: float) -> np.ndarray:

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ConsistencyError
+from .errors import (ConfigurationError, ConsistencyError, even_pair, finite, finite_list,
+                     integer)
 from .walk import SpinorField, WalkParams, pure_shear_angles, step
 from . import csvio, spectral
 
@@ -46,14 +47,13 @@ class InterferenceSetup:
     g0: float = 1.0
 
     def __post_init__(self):
-        l1, l2 = self.shape
+        l1, l2 = even_pair(self.shape, "shape")
         if l1 != l2:
             raise ConfigurationError(
                 "interference runs need a square lattice so the diagonal "
                 "offset u = pX - pY wraps consistently")
-        if not self.q > 0:
-            raise ConfigurationError(f"q must be positive, got {self.q!r}")
-        snapped = admissible_q(self.q, l1)
+        snapped = admissible_q(self.q, l1)  # first: it names a q too large to snap
+        finite(self.q, "q", "positive")
         if abs(snapped - self.q) > 1e-9:
             raise ConfigurationError(
                 f"q = {self.q!r} does not fit the lattice; nearest admissible "
@@ -246,11 +246,11 @@ def figure_tables(out_dir, figures=_FIGURES,
     [0, pi) with both real-u and integer-u columns
     (q, deltaM_continuous, deltaM_integer).
 
-    ``figures`` is a list of those names, not a bare string.  The sizes
-    are checked as the CLI checks its own: ``resolution`` >= 2, ``lattice``
-    positive and even, ``sweep_resolution`` >= 0, and each entry of
-    ``q_list`` a finite number > 0, as the CLI's ``q`` is; anything else
-    raises ``ConfigurationError`` naming the argument.
+    ``figures`` is a list of those names, not a bare string.  The sizes go
+    through the CLI's kinds (:mod:`gwalk.errors`): ``resolution`` an integer
+    >= 2, ``lattice`` an even one, ``sweep_resolution`` one >= 0, and
+    ``q_list`` any sequence or 1-D array, even empty, of finite numbers
+    > 0; anything else raises ``ConfigurationError`` naming the argument.
     """
     try:
         names = set(figures)  # a bare string gives its letters: no names
@@ -258,28 +258,18 @@ def figure_tables(out_dir, figures=_FIGURES,
         names = None
     if names is None or not names <= set(_FIGURES):
         raise ConfigurationError(f"figures must list names among {_FIGURES}, got {figures!r}")
-    for name, value, minimum in (("resolution", resolution, 2), ("lattice", lattice, 2),
-                                 ("sweep_resolution", sweep_resolution, 0)):
-        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-                or value < minimum):
-            raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    if lattice % 2:
-        raise ConfigurationError(f"lattice must be even, got {lattice!r}")
-    try:
-        q_list = None if q_list is None else tuple(q_list)
-        bad = q_list is not None and not all(
-            not isinstance(q, bool) and math.isfinite(q) and q > 0 for q in q_list)
-    except TypeError:  # not a list, or an entry that is not a number
-        bad = True
-    if bad:
-        raise ConfigurationError(f"q_list must hold finite numbers > 0, got {q_list!r}")
+    integer(resolution, "resolution", 2)
+    integer(sweep_resolution, "sweep_resolution", 0)
+    even_pair((integer(lattice, "lattice", 2),) * 2, "lattice")
+    if q_list is not None:
+        q_list = finite_list(q_list, "q_list", "positive", 0)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
     q_peak = delta_max_peak()[0] if names & {"fig2", "fig3"} else None
 
     if "fig1" in names:
-        grid = spectral.SpectrumGrid.sample(spectral.rho, resolution, "rho")
+        grid = spectral.SpectrumGrid.sample(spectral.rho, resolution)
         path = out / "fig1_rho.csv"
         grid.to_csv(path)
         written["fig1"] = path

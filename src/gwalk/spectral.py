@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import csvio
-from .errors import ConfigurationError, ConsistencyError
+from .errors import ConfigurationError, ConsistencyError, finite, integer
 from .walk import WalkParams, plane_wave_transfer_matrix, pure_shear_angles
 
 TWO_PI = 2.0 * np.pi
@@ -243,8 +243,7 @@ def find_rho_maxima(resolution: int = 1024) -> list[tuple[ModePoint, float]]:
     on the analytic gradient and Hessian of rho^2; a Hessian that is not
     negative definite, or no convergence, raises :class:`ConsistencyError`.
     """
-    if resolution < 256:
-        raise ConfigurationError("resolution must be at least 256")
+    integer(resolution, "resolution", 256)
     cell = -TWO_PI + 2 * TWO_PI * np.arange((resolution + 1) // 2) / resolution
     values = rho(cell[:, None], cell[None, :])
     i, j = np.unravel_index(int(np.argmax(values)), values.shape)
@@ -264,8 +263,7 @@ def unaffected_modes(tolerance: float = 1e-6) -> list[ModePoint]:
     Zeros on opposite edges of the zone are listed separately.  A point is
     returned only where rho is below ``tolerance``.
     """
-    if tolerance <= 0:
-        raise ConfigurationError("tolerance must be positive")
+    finite(tolerance, "tolerance", "positive")
     halves = [(4 * m, 4 * n) for m in (-1, 0, 1) for n in (-1, 0, 1)]
     halves += [(4 * m - 1, 4 * n + 1) for m in (0, 1) for n in (-1, 0)]
     qx, qy = (np.pi / 2 * np.array(halves, dtype=float)).T
@@ -336,10 +334,9 @@ class SpectrumGrid:
     qx: np.ndarray
     qy: np.ndarray
     values: np.ndarray
-    kind: str
 
     @classmethod
-    def sample(cls, fn: Callable, resolution: int, kind: str) -> "SpectrumGrid":
+    def sample(cls, fn: Callable, resolution: int) -> "SpectrumGrid":
         """Evaluate fn(qX, qY) one qX row at a time, the row's scalar qX
         broadcast against the qY axis, into a preallocated grid, so no
         full-grid coordinate or temporary arrays are built.
@@ -363,7 +360,7 @@ class SpectrumGrid:
                 values[i, :half] = fn(x, cell)
                 values[i, half:] = values[i, :half]
                 values[i + half] = values[i]
-        return cls(ax, ax.copy(), values, kind)
+        return cls(ax, ax.copy(), values)
 
     def to_csv(self, path) -> int:
         """Write the grid as qX,qY,value rows, qY fastest; returns the row count."""

@@ -65,7 +65,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, GeometryError
+from .errors import ConfigurationError, GeometryError, even_pair, finite, integer
 
 KL_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
 
@@ -101,8 +101,7 @@ def coin_matrix(kind: str, arg: float = 0.0) -> np.ndarray:
         return PI_MATRIX.copy()
     if kind not in _COINS:
         raise ConfigurationError(f"unknown coin matrix kind {kind!r}")
-    if not np.isfinite(arg):
-        raise ConfigurationError(f"coin matrix argument must be finite, got {arg!r}")
+    finite(arg, "arg")
     k, scale = _COINS[kind]
     return _gate(k, np.cos(scale * arg), np.sin(scale * arg))[0]
 
@@ -120,12 +119,9 @@ class WalkParams:
     xi: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ConfigurationError(f"epsilon must be positive, got {self.epsilon!r}")
-        if not (np.isfinite(self.mass) and self.mass >= 0):
-            raise ConfigurationError(f"mass must be nonnegative, got {self.mass!r}")
-        if not np.isfinite(self.xi):
-            raise ConfigurationError(f"xi must be finite, got {self.xi!r}")
+        finite(self.epsilon, "epsilon", "positive")
+        finite(self.mass, "mass", "nonnegative")
+        finite(self.xi, "xi")
 
 
 class AngleProvider:
@@ -230,10 +226,7 @@ class SpinorField:
         if self.data.ndim != 3 or self.data.shape[0] != 2:
             raise ConfigurationError(
                 f"spinor field must have shape (2, L1, L2), got {self.data.shape}")
-        l1, l2 = self.data.shape[1:]
-        if l1 <= 0 or l2 <= 0 or l1 % 2 or l2 % 2:
-            raise ConfigurationError(
-                f"lattice dimensions must be positive and even, got ({l1}, {l2})")
+        even_pair(self.data.shape[1:], "lattice")
         if not np.all(np.isfinite(self.data.view(np.float64))):
             raise ConfigurationError("spinor field contains non-finite amplitudes")
 
@@ -666,8 +659,7 @@ def _time_loop(field: SpinorField, j0: int, steps: int, provider: AngleProvider,
     j0 + steps once (module docstring).  Space-uniform angles are stepped in
     Fourier space, where the norms come from Parseval's identity; others in
     real space, through buffers allocated once."""
-    if steps < 0:
-        raise ConfigurationError(f"steps must be >= 0, got {steps}")
+    integer(steps, "steps", 0)
     margins = []
     gate_lists = _step_gate_lists(provider, j0, steps, field.shape, params, margins)
     if steps == 0 or not provider.uniform_in_space:

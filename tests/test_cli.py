@@ -497,6 +497,16 @@ class TestMainExitCodes:
         assert key in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize("value", [[], "", {}], ids=["list", "string", "object"])
+    def test_empty_epsilons_is_2_naming_the_key(self, tmp_path, capsys, value):
+        # the library's figure_tables takes an empty q_list; a config's list
+        # of epsilons must still hold at least one
+        payload = {"experiment": "spectrum", "resolution": 8, "epsilons": value,
+                   "out_dir": str(tmp_path / "out")}
+        assert main(["--config", write_config(tmp_path, payload)]) == 2
+        assert "epsilons must be a list of >= 1 numbers" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_failed_manifest_write_leaves_no_manifest(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
         assert main(["--experiment", "unaffected-modes", "--out", str(out)]) == 0

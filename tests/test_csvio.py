@@ -292,7 +292,7 @@ def spectrum_bytes(path, values, grid):
 @pytest.mark.parametrize("resolution, formatted", [(64, 32 * 32), (63, 63 * 63)])
 def test_periodic_spectrum_formats_each_distinct_value_once(
         tmp_path, monkeypatch, resolution, formatted):
-    grid = SpectrumGrid.sample(rho, resolution, "rho")
+    grid = SpectrumGrid.sample(rho, resolution)
     counts = counting_format17(monkeypatch)
     assert grid.to_csv(tmp_path / "rho.csv") == resolution ** 2
     assert sum(counts) == formatted
@@ -301,7 +301,7 @@ def test_periodic_spectrum_formats_each_distinct_value_once(
 
 
 def test_periodic_spectrum_with_one_site_moved_writes_the_bytes_of_percent(tmp_path):
-    grid = SpectrumGrid.sample(rho, 64, "rho")
+    grid = SpectrumGrid.sample(rho, 64)
     values = grid.values.copy()
     values[40, 21] = np.nextafter(values[40, 21], np.inf)
     written, oracle = spectrum_bytes(tmp_path / "grid.csv", values, grid)

@@ -107,6 +107,13 @@ class TestSetup:
             InterferenceSetup(q=q)
 
 
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 3)])
+    def test_shape_that_is_not_positive_and_even_names_shape(self, shape):
+        # 4 pi / 3 is admissible on a 3 x 3 lattice; (0, 0) has no lattice
+        with pytest.raises(ConfigurationError, match="shape"):
+            InterferenceSetup(q=4 * math.pi / 3, shape=shape)
+
+
 class TestInitialSuperposition:
     def test_density_formula_pointwise(self):
         setup = make_setup()
@@ -402,6 +409,19 @@ class TestFigureTables:
         with pytest.raises(ConfigurationError, match=name):
             figure_tables(tmp_path / "out", **kwargs)
         assert not (tmp_path / "out").exists()
+
+    def test_numpy_lattice_and_array_q_list(self, tmp_path):
+        qs = [math.pi / 3, math.pi / 2]
+        listed = figure_tables(tmp_path / "list", figures=("fig2", "fig3"),
+                               lattice=8, q_list=qs)
+        arrays = figure_tables(tmp_path / "array", figures=("fig2", "fig3"),
+                               lattice=np.int64(8), q_list=np.array(qs))
+        for fig in ("fig2", "fig3"):
+            assert arrays[fig].read_bytes() == listed[fig].read_bytes()
+
+    def test_empty_q_list_is_an_empty_table(self, tmp_path):
+        paths = figure_tables(tmp_path, figures=("fig3",), q_list=[])
+        assert paths["fig3"].read_text() == "q,u,delta\n"
 
     def test_zero_sweep_resolution_is_an_empty_table(self, tmp_path):
         paths = figure_tables(tmp_path, figures=("fig4",), sweep_resolution=0)

@@ -369,6 +369,19 @@ class TestUnaffectedModes:
             unaffected_modes(0.0)
 
 
+class TestArgumentKinds:
+    @pytest.mark.parametrize("make, name", [
+        (lambda: find_rho_maxima(256.5), "resolution"),
+        (lambda: unaffected_modes(math.nan), "tolerance"),
+    ], ids=["resolution-float", "tolerance-nan"])
+    def test_bad_argument_is_a_config_error_naming_it(self, make, name):
+        with pytest.raises(ConfigurationError, match=name):
+            make()
+
+    def test_numpy_integer_resolution(self):
+        assert find_rho_maxima(np.int64(256)) == find_rho_maxima(256)
+
+
 class TestEigen:
     def test_identity(self):
         pairs = eigen(np.eye(2))
@@ -499,7 +512,7 @@ class TestPerturbativeEigs:
 
 class TestSpectrumGrid:
     def test_csv_round_trip(self, tmp_path):
-        grid = SpectrumGrid.sample(rho, 8, "rho")
+        grid = SpectrumGrid.sample(rho, 8)
         path = tmp_path / "rho.csv"
         grid.to_csv(path)
         lines = path.read_text().splitlines()
@@ -514,14 +527,14 @@ class TestSpectrumGrid:
     def test_sample_with_a_scalar_row_equals_the_full_row_evaluation(self, resolution):
         # the grid hands rho each cell row's qX as a scalar; broadcast against
         # the cell's qY axis it gives the same floats as a row of repeated qX
-        grid = SpectrumGrid.sample(rho, resolution, "rho")
+        grid = SpectrumGrid.sample(rho, resolution)
         cell = grid.qy[:resolution // 2]
         full = np.stack([rho(np.full(cell.size, x), cell) for x in cell])
         assert np.array_equal(grid.values[:cell.size, :cell.size], full)
 
     @pytest.mark.parametrize("resolution", [8, 64, 1024])
     def test_even_grid_is_exactly_periodic_and_near_direct_evaluation(self, resolution):
-        grid = SpectrumGrid.sample(rho, resolution, "rho")
+        grid = SpectrumGrid.sample(rho, resolution)
         half = resolution // 2
         assert np.array_equal(grid.values[half:], grid.values[:half])
         assert np.array_equal(grid.values[:, half:], grid.values[:, :half])
@@ -531,7 +544,7 @@ class TestSpectrumGrid:
 
     def test_odd_grid_equals_direct_evaluation(self):
         # no 2pi translate falls on an odd grid: every row is evaluated
-        grid = SpectrumGrid.sample(rho, 63, "rho")
+        grid = SpectrumGrid.sample(rho, 63)
         direct = np.stack([rho(x, grid.qy) for x in grid.qx])
         assert np.array_equal(grid.values, direct)
 
@@ -543,5 +556,5 @@ class TestSpectrumGrid:
             calls.append((float(x), len(y)))
             return rho(x, y)
 
-        grid = SpectrumGrid.sample(fn, resolution, "rho")
+        grid = SpectrumGrid.sample(fn, resolution)
         assert calls == [(x, width) for x in grid.qx[:rows].tolist()]

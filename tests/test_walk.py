@@ -144,6 +144,25 @@ class TestSpinorField:
             SpinorField(data)
 
 
+class TestArgumentKinds:
+    @pytest.mark.parametrize("make, name", [
+        (lambda: WalkParams(epsilon=True), "epsilon"),
+        (lambda: evolve(SpinorField.zeros((4, 4)), 0, 2.5, flat_angles(), WalkParams()),
+         "steps"),
+    ], ids=["epsilon-bool", "steps-float"])
+    def test_bad_argument_is_a_config_error_naming_it(self, make, name):
+        with pytest.raises(ConfigurationError, match=name):
+            make()
+
+    def test_numpy_scalars_are_numbers(self):
+        params = WalkParams(epsilon=np.float64(0.5), mass=np.float32(0.25),
+                            xi=np.float64(1e-3))
+        f = SpinorField.random((4, 4), np.random.default_rng(3))
+        out = evolve(f, 0, np.int64(2), flat_angles(), params)
+        assert np.array_equal(out.data, evolve(f, 0, 2, flat_angles(),
+                                               WalkParams(0.5, 0.25, 1e-3)).data)
+
+
 class TestWBlock:
     def test_norm_preserved_any_theta(self):
         rng = np.random.default_rng(1)
