@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GeometryError, SignConditionError
+from .errors import GeometryError, SignConditionError, finite
 from .walk import KL_PAIRS, SINGULAR_DET_TOL, AngleProvider, WalkParams
 
 ETA = np.diag([1.0, -1.0, -1.0])
@@ -94,6 +94,12 @@ class GwParams:
     k: float = 0.0
     k_prime: float = 0.0
 
+    def __post_init__(self):
+        for name in ("xi", "f", "g", "k", "k_prime"):
+            value = getattr(self, name)
+            if not (name in ("f", "g") and callable(value)):
+                finite(value, name)
+
     def f_at(self, t: float) -> float:
         return float(self.f(t)) if callable(self.f) else float(self.f)
 
@@ -166,6 +172,7 @@ def gw_metric_reference(gw: GwParams, t: float) -> Metric3:
 
 def gw_angle_provider(gw: GwParams, epsilon: float = 1.0) -> AngleProvider:
     """Angle provider evaluating the wave at lattice times T = j*eps."""
+    finite(epsilon, "epsilon")
     return AngleProvider(lambda j: gw_angles(gw, j * epsilon), uniform_in_space=True)
 
 

@@ -49,6 +49,24 @@ gates, B_j holds the four axis-2 gates and C_j the rest.
 then per step one in-place pass over blocks of k1 rows, each of at most
 _CHUNK modes, that applies B_j along axis 2 and then A_{j+1} C_j along
 axis 1 to the block, and one inverse transform at the end.  No shift runs.
+
+The Fourier loop builds none of this one step at a time.  It reads the
+angles in runs of _RUN steps, and the run's slice records, T, mass gates
+and W chains are arrays over its times: each gate is a (steps, 2, 2)
+stack, still built and ordered by :func:`_step_gates`.  The factors are
+built in pieces of a run (:func:`_piece`: 4 steps at 256^2, bounded by
+memory), each as one array of its entries over the piece's steps and the
+wavenumbers; A_{j+1} C_j of a piece's steps is one product, and the last
+step's waits for the next piece's first A.  Every entry takes the same
+float operations in the same order, each complex product with its operands
+in the same order, so a run's factors have a single step's bits: where a
+step's operands were scalars, what a run does on arrays instead (real
+arithmetic, tan, 2x2 products, multiplying by 1; the other complex
+products were on arrays already) gives numpy's scalar bits.  A run of one
+step reads its slices as scalars, as :func:`step` and the transfer matrix
+do.  A singular slice inside a run is named by its own time, and one read
+before a slice that fails to read is named first.
+
 Per-site angles are stepped in real space, through two field buffers and
 a scratch array that the loop allocates once.  A gate runs over pieces of
 at most _CHUNK = 2^14 sites, both of its rows per piece, so that the
@@ -162,6 +180,7 @@ def flat_angles() -> AngleProvider:
 
 def uniform_time_angles(t11, t12, t21, t22, epsilon: float = 1.0) -> AngleProvider:
     """Space-uniform angles; each argument is a constant or a function of T = j*eps."""
+    finite(epsilon, "epsilon")
     fns = [v if callable(v) else (lambda T, c=float(v): c) for v in (t11, t12, t21, t22)]
     return AngleProvider(lambda j: tuple(f(j * epsilon) for f in fns),
                          uniform_in_space=True)
@@ -284,6 +303,13 @@ class _Slice(NamedTuple):
     det: np.ndarray | float
     min_abs_det: float
 
+    def part(self, times: slice) -> "_Slice":
+        """The record of the slices `times` of a run of space-uniform slices
+        (views; `min_abs_det` stays the run's)."""
+        return _Slice({kl: (c[times], s[times]) for kl, (c, s) in self.half.items()},
+                      {kl: v[times] for kl, v in self.cos.items()}, self.det[times],
+                      self.min_abs_det)
+
 
 def _cos_sin(x) -> tuple:
     """cos x and sin x from one tangent, a scalar or an (L1, L2) field:
@@ -330,7 +356,10 @@ def _slice(th: dict, j: int, site=None) -> _Slice:
     min_abs_det = float(np.min(np.abs(det)))
     if not min_abs_det >= SINGULAR_DET_TOL:
         bad = ~(np.abs(det) >= SINGULAR_DET_TOL)
-        if site is None:
+        if np.ndim(bad) == 1:
+            # a run of space-uniform slices from time j: name its first bad time
+            j, site = j + int(np.argmax(bad)), (0, 0)
+        elif site is None:
             # a space-uniform C is singular everywhere: name site (0, 0)
             site = np.unravel_index(np.argmax(bad), np.shape(bad)) or (0, 0)
         raise GeometryError(
@@ -340,18 +369,38 @@ def _slice(th: dict, j: int, site=None) -> _Slice:
 
 
 def _step_gate_lists(provider: AngleProvider, j0: int, steps: int,
-                     shape: tuple[int, int], params: WalkParams, margins: list):
-    """The lazy gate list of each step j from j0 (:func:`_step_gates`),
-    reading each of the slices j0 .. j0 + steps once; `margins` is set to
-    [min |det C|, max |T|] over what was read.  A consumed list frees its
-    slice, so at most two slices are held."""
-    rec = _slice(provider.fields(j0, shape), j0)
+                     shape: tuple[int, int], params: WalkParams, margins: list,
+                     run: int = 1):
+    """The lazy gate list (:func:`_step_gates`) of each run of steps from
+    j0, reading each of the slices j0 .. j0 + steps once; `margins` is set
+    to [min |det C|, max |T|] over what was read.  A space-uniform
+    provider's list covers a run of up to `run` > 1 steps, as arrays over
+    its times (module docstring).  Other lists are one step's, and a
+    consumed one frees its slice, so at most two slices are held."""
+    stacked = provider.uniform_in_space and run > 1
+    th = provider.fields(j0, shape)
+    rec = _slice(th, j0)
     margins[:] = [rec.min_abs_det, 0.0]
-    for j in range(j0 + 1, j0 + steps + 1):
-        nxt = _slice(provider.fields(j, shape), j)
+    # the slice a run starts at, read by the run before; no per-site slice
+    # is kept
+    held, th = (th if stacked else None), None
+    for start in range(j0, j0 + steps, run if stacked else 1):
+        if stacked:
+            read = [held]
+            try:
+                for j in range(start + 1, min(start + run, j0 + steps) + 1):
+                    read.append(provider.fields(j, shape))
+            finally:
+                # checked when a read fails too, so that a singular slice
+                # before it is named first, as in time order
+                times = _slice({kl: np.array([a[kl] for a in read]) for kl in KL_PAIRS},
+                               start)
+            rec, nxt, held = times.part(np.s_[:-1]), times.part(np.s_[1:]), read[-1]
+        else:
+            nxt = _slice(provider.fields(start + 1, shape), start + 1)
         te = _t_values(rec, nxt, params)
-        margins[:] = [min(margins[0], nxt.min_abs_det),
-                      max(margins[1], float(np.max(np.abs(te))))]
+        top = np.abs(te).tolist() if stacked else [float(np.max(np.abs(te)))]
+        margins[:] = [min(margins[0], nxt.min_abs_det), max(margins[1], *top)]
         gates, rec, te = _step_gates(rec.half, rec.cos, te, params), nxt, None
         yield gates
 
@@ -362,9 +411,13 @@ def _step_gate_lists(provider: AngleProvider, j0: int, steps: int,
 
 def _gate(k: np.ndarray, c, s, axis: int = 0) -> tuple:
     """Gate K * [[c, s], [s, c]], then the shift along `axis` (0: none).
-    Field entries stay apart from K: no complex coefficient field is built."""
-    if np.ndim(c) == 0:
-        return k * np.array([[c, s], [s, c]]), None, axis
+    Space-uniform entries, scalars or arrays over a run's times, give the
+    matrix or its (steps, 2, 2) stack.  Per-site field entries stay apart
+    from K: no complex coefficient field is built."""
+    if np.ndim(c) < 2:
+        # [[c, s], [s, c]] is symmetric: .T puts a run's time axis first, and
+        # order="C" lays the stack out as `@` takes it
+        return np.multiply(k, np.array([[c, s], [s, c]]).T, order="C"), None, axis
     return k, (c, s), axis
 
 
@@ -513,44 +566,67 @@ def _scratch(shape) -> int:
 # per-axis factors of a space-uniform step
 # ---------------------------------------------------------------------------
 
-def _times(m, n) -> tuple:
-    """Entries of the 2x2 product M N, each matrix given by its entries
-    (m00, m01, m10, m11); entries are scalars or arrays over one axis."""
+def _times(m, n) -> np.ndarray:
+    """The stacked entries of the 2x2 product M N, each matrix given by its
+    entries (m00, m01, m10, m11); entries are arrays that broadcast.  Each
+    entry is summed in place, as x y + z w."""
     a, b, c, d = m
     e, f, g, h = n
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+    out = np.empty(np.broadcast(m, n).shape, complex)
+    for o, (x, y, z, w) in zip(out, ((a, e, b, g), (a, f, b, h), (c, e, d, g), (c, f, d, h))):
+        np.multiply(x, y, out=o)
+        o += z * w
+    return out
 
 
-def _phase_pairs(k1, k2) -> dict:
-    """The phase pair (e^{ik}, e^{-ik}) that a shift along each axis (0:
-    none) puts on a mode, at the wavenumbers k1 and k2 (scalars or 1-D
-    arrays)."""
-    return {0: (1.0, 1.0), 1: (np.exp(1j * k1), np.exp(-1j * k1)),
-            2: (np.exp(1j * k2), np.exp(-1j * k2))}
+def _entry_phases(k1, k2) -> dict:
+    """The phases (e^{ik}, e^{ik}, e^{-ik}, e^{-ik}) that a shift along
+    each axis (0: none) puts on the entries (m00, m01, m10, m11) of a gate,
+    at the wavenumbers k1 and k2 (scalars or 1-D arrays), as (4, 1, L)."""
+    def entries(k):
+        p, q = np.exp(1j * k), np.exp(-1j * k)
+        return np.reshape(np.stack((p, p, q, q)), (4, 1, -1))
+
+    return {0: np.ones((4, 1, 1)), 1: entries(k1), 2: entries(k2)}
 
 
-def _factors(gates, phases: dict) -> list:
-    """The factors [A(k1), B(k2), C(k1)] (module docstring) of a step's
-    gate list of scalar gates, with the shifts' phase pairs `phases`
-    (:func:`_phase_pairs`), as entry tuples."""
-    factors, axes = [], []
+def _factor_gates(gates) -> list:
+    """The fused gates (:func:`_fused`) of a gate list of space-uniform
+    steps, grouped into the factors [A, B, C] (module docstring): a gate
+    joins the factor before it when it shifts along that factor's axis or
+    along none.  Each factor is a list of (K, axis), first gate first."""
+    factors = []
     for k, _, axis in _fused(gates):
-        p, q = phases[axis]
-        gate = (p * k[0, 0], p * k[0, 1], q * k[1, 0], q * k[1, 1])
-        if factors and axis in (0, axes[-1]):
-            factors[-1] = _times(gate, factors[-1])
+        k = np.reshape(k, (-1, 2, 2))  # a stack over the steps, of one for scalars
+        if factors and axis in (0, factors[-1][0][1]):
+            factors[-1].append((k, axis))
         else:
-            factors.append(gate)
-            axes.append(axis)
+            factors.append([(k, axis)])
     return factors
 
 
-def _mode_apply(src: np.ndarray, m, axis: int, out: np.ndarray,
+def _factor(gates, phases: dict) -> np.ndarray:
+    """The product of a factor's gates (:func:`_factor_gates`), with the
+    shifts' phases `phases` (:func:`_entry_phases`): the stack of its
+    entries, which run over the steps and then over the wavenumbers."""
+    product = None
+    for k, axis in gates:
+        entries = np.reshape(k, (-1, 4)).T[..., None]
+        gate = np.empty(np.broadcast(phases[axis], entries).shape, complex)
+        # one entry at a time: numpy buffers a broadcast operand up to the
+        # size of the output
+        for out, ph, e in zip(gate, phases[axis], entries):
+            np.multiply(ph, e, out=out)
+        product = gate if product is None else _times(gate, product)
+    return product
+
+
+def _mode_apply(src: np.ndarray, m, out: np.ndarray,
                 scratch: np.ndarray) -> np.ndarray:
     """out = M src at every Fourier mode of a (2, rows, L2) array; the
-    entries of M are arrays along `axis`.  `scratch` is one (rows, L2)
-    component."""
-    a, b, c, d = (np.reshape(e, (-1, 1)) if axis == 1 else e for e in m)
+    entries of M broadcast against one (rows, L2) component, which
+    `scratch` is."""
+    a, b, c, d = m
     for row, (x, y) in enumerate(((a, b), (c, d))):
         np.multiply(src[0], x, out=out[row])
         np.multiply(src[1], y, out=scratch)
@@ -661,7 +737,7 @@ def _time_loop(field: SpinorField, j0: int, steps: int, provider: AngleProvider,
     real space, through buffers allocated once."""
     integer(steps, "steps", 0)
     margins = []
-    gate_lists = _step_gate_lists(provider, j0, steps, field.shape, params, margins)
+    gate_lists = _step_gate_lists(provider, j0, steps, field.shape, params, margins, _RUN)
     if steps == 0 or not provider.uniform_in_space:
         data, norms = _real_steps(field.data, gate_lists)
         return _Run(SpinorField(data), norms, *margins)
@@ -689,37 +765,75 @@ def _real_steps(data: np.ndarray, gate_lists) -> tuple[np.ndarray, list[float]]:
     return _unphased(src, phase), norms
 
 
+#: space-uniform steps per run, whose slices, T and gates are built at once
+#: as arrays over the run's times: about 1.5 KiB a step, on any lattice
+_RUN = 32
+
+
+def _piece(shape) -> int:
+    """Steps per piece of a run whose factors are built at once, on an
+    (L1, L2) lattice: one stacked factor of a piece (4 entries per step and
+    wavenumber) holds at most 1/32 of a field's values, and a piece at
+    least one step.  At 256^2 that is 4 steps, with which the Fourier loop
+    peaks at 1.38 field sizes (1.51 with 8)."""
+    return max(1, min(shape) // 64)
+
+
+def _step_factors(gate_lists, phases: dict, piece: int):
+    """(A_0 at step 0, else None; B_j; A_{j+1} C_j) of each step j, from the
+    factors (:func:`_factor`) of each piece of `piece` steps of the run of
+    each gate list in `gate_lists` (module docstring); the last step's
+    third factor is C_j alone.  A and C are shaped to broadcast as columns.
+    B is built after A and C are freed, and what a piece keeps for the next
+    is copied, so that while a factor is built at most one other of its
+    piece is held."""
+    first = held = None
+    for gates in gate_lists:
+        factors = _factor_gates(gates)
+        for start in range(0, len(factors[0][0][0]), piece):
+            a, b, c = ([(k[start:start + piece], axis) for k, axis in f] for f in factors)
+            a, c = _factor(a, phases), _factor(c, phases)
+            if held is None:
+                first = a[:, 0, :, None].copy()
+            else:
+                yield first, held[0], _times(a[:, 0], held[1])[..., None]
+                first = None
+            lasts = _times(a[:, 1:], c[:, :-1])[..., None]
+            a, c = None, c[:, -1].copy()
+            b = _factor(b, phases)
+            for j in range(lasts.shape[1]):
+                yield first, b[:, j], lasts[:, j]
+                first = None
+            held, b, lasts = (b[:, -1].copy(), c), None, None
+    yield first, held[0], held[1][..., None]
+
+
 def _fourier_steps(spec: np.ndarray, gate_lists) -> tuple[np.ndarray, list[float]]:
     """Step the unitary Fourier transform `spec` of a field in place, one
-    step per gate list in `gate_lists` (at least one); see the module
-    docstring.  A step is one pass over blocks of k1 rows, each of at most
-    _CHUNK modes, so that the block and its two temporaries stay in cache.
-    The norm after step j is taken after A_{j+1} C_j, which is unitary too."""
+    run of steps per gate list in `gate_lists` (at least one step); see the
+    module docstring.  A step is one pass over blocks of k1 rows, each of at
+    most _CHUNK modes, so that the block and its two temporaries stay in
+    cache.  The norm after step j is taken after A_{j+1} C_j, which is
+    unitary too."""
     l1, l2 = spec.shape[1:]
-    phases = _phase_pairs(*(2 * np.pi * np.arange(n) / n for n in (l1, l2)))
+    k1, k2 = (2 * np.pi * np.arange(n) / n for n in (l1, l2))
     rows = max(1, _CHUNK // (2 * l2))
     tmp, scratch = np.empty((2, rows, l2), complex), np.empty((rows, l2), complex)
-    first, b, c = _factors(next(gate_lists), phases)
     norms = []
-    while True:
-        gates = next(gate_lists, None)
-        # B_j, before the next step's factors rebind b
-        mid, last = b, c
-        if gates is not None:
-            a, b, c = _factors(gates, phases)
-            last = _times(a, last)
+    for first, mid, last in _step_factors(gate_lists, _entry_phases(k1, k2),
+                                          _piece((l1, l2))):
         for r in range(0, l1, rows):
             block = spec[:, r:r + rows]
             n = block.shape[1]
             out, scr = tmp[:, :n], scratch[:n]
             if first is not None:
-                block[...] = _mode_apply(block, [e[r:r + n] for e in first], 1, out, scr)
-            _mode_apply(block, mid, 2, out, scr)
-            _mode_apply(out, [e[r:r + n] for e in last], 1, block, scr)
-        first = None
+                block[...] = _mode_apply(block, first[:, r:r + n], out, scr)
+            _mode_apply(block, mid, out, scr)
+            _mode_apply(out, last[:, r:r + n], block, scr)
         norms.append(_norm(spec))
-        if gates is None:
-            return spec, norms
+        # so that a piece's factors are freed before the next piece's are built
+        first = mid = last = None
+    return spec, norms
 
 
 def evolve(field: SpinorField, j0: int, steps: int, provider: AngleProvider,
@@ -743,5 +857,5 @@ def plane_wave_transfer_matrix(provider: AngleProvider, j: int,
         raise ConfigurationError(
             "plane-wave transfer matrix requires space-uniform angles")
     gates = next(_step_gate_lists(provider, j, 1, (2, 2), params, []))
-    a, b, c = _factors(gates, _phase_pairs(k1, k2))
+    a, b, c = (_factor(f, _entry_phases(k1, k2)) for f in _factor_gates(gates))
     return np.reshape(_times(c, _times(b, a)), (2, 2))

@@ -465,6 +465,22 @@ class TestMainExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    # GwParams and the providers check these numbers too; the config's own
+    # check still answers first, naming the config key, with exit code 2
+    @pytest.mark.parametrize("key", [
+        ("params", "epsilon"), ("params", "xi"), ("gw", "F"), ("gw", "G"), ("gw", "K"),
+        ("gw", "K_prime")], ids=lambda key: ".".join(key))
+    def test_non_finite_wave_number_for_evolve_is_2_naming_the_key(self, tmp_path, capsys,
+                                                                  key):
+        payload = {"experiment": "evolve", "lattice": [8, 8], "steps": 2,
+                   "gw": {"F": 0.5, "G": 0.5, "K": 1.0, "K_prime": 1.0},
+                   "out_dir": str(tmp_path / "out")}
+        payload.setdefault(key[0], {})[key[1]] = math.nan
+        assert main(["--config", write_config(tmp_path, payload)]) == 2
+        assert f"config error: {'.'.join(key)} must be a finite number, got nan" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key, value", [("q_list", [1.0, 2.0]),
                                             ("figures", ["fig1"])],
                              ids=["q_list", "figures"])

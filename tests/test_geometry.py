@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from gwalk.errors import GeometryError, SignConditionError
+from gwalk.errors import ConfigurationError, GeometryError, SignConditionError
 from gwalk.geometry import (DualTriad, GwParams, Metric3, Triad, dual_triad,
                             gw_angle_provider, gw_angles, gw_metric_reference,
                             metric_from_dual_triad, triad_from_angles)
+from gwalk.walk import pure_shear_angles, uniform_time_angles
 
 FLAT = (0.0, math.pi / 2, math.pi / 2, 0.0)
 
@@ -193,3 +194,27 @@ class TestGwAngleProvider:
                     for kl in ((1, 1), (1, 2), (2, 1), (2, 2)))
         assert got == pytest.approx(expected)
         assert provider.uniform_in_space
+
+
+class TestWaveInputs:
+    # each raises where it is given, before any angle is computed
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, True], ids=["NaN", "inf", "bool"])
+    @pytest.mark.parametrize("name", ["xi", "f", "g", "k", "k_prime"])
+    def test_gw_params_number_must_be_finite(self, name, bad):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be a finite number"):
+            GwParams(**{"xi": 1e-3, name: bad})
+
+    @pytest.mark.parametrize("make", [
+        lambda eps: gw_angle_provider(GwParams(xi=1e-3), epsilon=eps),
+        lambda eps: uniform_time_angles(0.0, 1.0, 1.0, 0.0, epsilon=eps),
+        lambda eps: pure_shear_angles(1e-3, 1.0, epsilon=eps)],
+        ids=["gw_angle_provider", "uniform_time_angles", "pure_shear_angles"])
+    def test_provider_epsilon_must_be_finite(self, make):
+        with pytest.raises(ConfigurationError, match="^epsilon must be a finite number, got nan"):
+            make(math.nan)
+
+    def test_callable_waveforms_and_numpy_numbers_are_accepted(self):
+        gw = GwParams(xi=np.float64(1e-3), f=math.cos, g=lambda t: 0.5, k=np.int64(1),
+                      k_prime=1.0)
+        assert gw_angle_provider(gw, epsilon=np.float32(0.5)).fields(2, (2, 2)) == dict(
+            zip(((1, 1), (1, 2), (2, 1), (2, 2)), gw_angles(gw, 1.0)))

@@ -600,21 +600,27 @@ class TestNonFiniteAngles:
 def two_pass_fourier_steps(spec, gate_lists):
     """The Fourier-space loop as two whole-array passes per step through a
     second field buffer and an (L1, L2) scratch: an oracle for the bits of
-    the blocked, in-place pass."""
+    the blocked, in-place pass.  Each gate list is one step's, so the
+    factors are built one step at a time: a check of the loop's runs."""
     shape = spec.shape[1:]
-    phases = walk._phase_pairs(*(2 * np.pi * np.arange(n) / n for n in shape))
+    phases = walk._entry_phases(*(2 * np.pi * np.arange(n) / n for n in shape))
+
+    def factors(gates):
+        a, b, c = (walk._factor(f, phases)[:, 0] for f in walk._factor_gates(gates))
+        return a[..., None], b, c[..., None]
+
     dst, scratch = np.empty_like(spec), np.empty(shape, dtype=complex)
-    a, b, c = walk._factors(next(gate_lists), phases)
-    src, dst = walk._mode_apply(spec, a, 1, dst, scratch), spec
+    a, b, c = factors(next(gate_lists))
+    src, dst = walk._mode_apply(spec, a, dst, scratch), spec
     norms = []
     while True:
-        src, dst = walk._mode_apply(src, b, 2, dst, scratch), src
+        src, dst = walk._mode_apply(src, b, dst, scratch), src
         gates = next(gate_lists, None)
         last = c
         if gates is not None:
-            a, b, c = walk._factors(gates, phases)
+            a, b, c = factors(gates)
             last = walk._times(a, last)
-        src, dst = walk._mode_apply(src, last, 1, dst, scratch), src
+        src, dst = walk._mode_apply(src, last, dst, scratch), src
         norms.append(walk._norm(src))
         if gates is None:
             return src, norms
@@ -923,3 +929,127 @@ class TestRowPieces:
         with mock.patch.object(walk, "_CHUNK", chunk):
             out = evolve(f, 0, 1, provider, params)
         assert out.data.tobytes() == expected.data.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# runs of space-uniform factors
+# ---------------------------------------------------------------------------
+
+def runs_of(steps, piece=1):
+    """Patches of walk._RUN to `steps` steps per run, and of walk._piece to
+    `piece` steps per piece of a run."""
+    return mock.patch.multiple(walk, _RUN=steps, _piece=lambda shape: piece)
+
+
+def history_with_singular_slice(rng, times, at):
+    """A space-uniform random history whose cosine matrix is singular at `at`."""
+    arrays = {kl: rng.uniform(*RNG_ANGLE_RANGES[kl[0] != kl[1]], (times, 1, 1))
+              for kl in walk.KL_PAIRS}
+    for kl_a, kl_b in (((1, 1), (2, 1)), ((1, 2), (2, 2))):
+        arrays[kl_b][at] = arrays[kl_a][at]
+    return array_angles(arrays)
+
+
+class TestRunBoundaries:
+    # runs of 1 to 7 steps put the boundaries between runs at every step of
+    # the 11, and a run of 1 reads scalar angles; pieces of 1 to 3 steps cut
+    # the runs again, with a shorter last piece where they do not fit
+    @pytest.mark.parametrize("piece", [1, 2, 3])
+    @pytest.mark.parametrize("steps_per_run", range(1, 8))
+    def test_run_length_leaves_evolve_bit_identical(self, steps_per_run, piece):
+        rng = np.random.default_rng(51)
+        provider, calls = counting_provider(rng, 14, (1, 1))
+        params = WalkParams(epsilon=0.7, mass=0.3)
+        f = SpinorField.random((6, 10), rng)
+        expected = walk._time_loop(f, 2, 11, provider, params)
+        calls.clear()
+        with runs_of(steps_per_run, piece):
+            run = walk._time_loop(f, 2, 11, provider, params)
+        assert calls == list(range(2, 14))
+        assert run.field.data.tobytes() == expected.field.data.tobytes()
+        assert run.norms == expected.norms
+        assert (run.min_abs_det_c, run.max_abs_t_eps) == (expected.min_abs_det_c,
+                                                           expected.max_abs_t_eps)
+
+    @pytest.mark.parametrize("steps_per_run", range(1, 8))
+    def test_singular_slice_in_a_later_run_names_its_time(self, steps_per_run):
+        rng = np.random.default_rng(52)
+        provider = history_with_singular_slice(rng, 14, 9)
+        f = SpinorField.random((6, 6), rng)
+        with runs_of(steps_per_run):
+            evolve(f, 0, 7, provider, WalkParams())
+            with pytest.raises(GeometryError, match=r"j=9, site \(0, 0\)$"):
+                evolve(f, 0, 12, provider, WalkParams())
+
+    def test_singular_slice_before_a_failed_read_is_named_first(self):
+        # slice 9 is singular and slice 11 cannot be read: as when the slices
+        # are read one at a time, the singular one is named
+        rng = np.random.default_rng(53)
+        provider = history_with_singular_slice(rng, 11, 9)
+        f = SpinorField.random((6, 6), rng)
+        with pytest.raises(ConfigurationError, match="queried j=11"):
+            provider.fields(11, (1, 1))
+        with runs_of(8), pytest.raises(GeometryError, match=r"j=9, site \(0, 0\)$"):
+            evolve(f, 0, 12, provider, WalkParams())
+
+    def test_fourier_memory_does_not_grow_with_runs(self):
+        # bound: the Fourier loop's own, 1.5 field sizes (1.38 measured with
+        # the 4-step pieces of 256^2), over 40 and 100 steps: 2 and 4 runs
+        rng = np.random.default_rng(54)
+        f = SpinorField.random((256, 256), rng)
+        provider = random_history_provider(rng, times=101)
+        assert (walk._RUN, walk._piece(f.shape)) == (32, 4)
+        evolve(f, 0, 2, provider, WalkParams(mass=0.3))
+        peaks = []
+        for steps in (40, 100):
+            tracemalloc.start()
+            try:
+                evolve(f, 0, steps, provider, WalkParams(mass=0.3))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 0.01 * f.data.nbytes
+        assert peaks[1] <= 1.5 * f.data.nbytes
+
+
+# ---------------------------------------------------------------------------
+# the paper's energy rescaling, read off both stepping loops
+# ---------------------------------------------------------------------------
+
+class TestEnergyRescaling:
+    def test_shear_energy_shift_through_both_loops(self):
+        # A pure shear wave g shifts the positive energy of the mode q = 2k
+        # by 2 xi g qX qY / |q| on large scales.  Measured on 512^2 over 4
+        # steps at (n, 2n), n = 1, 2, 4: relative errors 0.0271, 0.0527 and
+        # 0.0992, a log-log slope of 0.93; the loops' energies within 1.2e-16
+        size, steps, xi, g = 512, 4, 1e-3, 1.0
+        shape = (size, size)
+
+        def energies(xi, n1, n2):
+            """E = -arg<f, evolve(f)> / steps of the positive-energy plane
+            wave, through the Fourier loop and through the real-space one."""
+            provider, params = pure_shear_angles(xi, g), WalkParams(xi=xi)
+            k1, k2 = 2 * np.pi * n1 / size, 2 * np.pi * n2 / size
+            values, vectors = np.linalg.eig(
+                plane_wave_transfer_matrix(provider, 0, k1, k2, params))
+            f = SpinorField.plane_wave(shape, k1, k2, vectors[:, np.argmax(-np.angle(values))])
+            th = provider.fields(0, shape)
+            per_site = array_angles({kl: np.broadcast_to(th[kl], (steps + 1, *shape))
+                                     for kl in walk.KL_PAIRS})
+            assert provider.uniform_in_space and not per_site.uniform_in_space
+            return np.array([-np.angle(np.vdot(f.data, evolve(f, 0, steps, p, params).data))
+                             for p in (provider, per_site)]) / steps
+
+        q, errors = [], []
+        for n in (1, 2, 4):
+            qx, qy = 4 * np.pi * n / size, 8 * np.pi * n / size
+            shifted, flat = energies(xi, n, 2 * n), energies(0.0, n, 2 * n)
+            for fourier, real in (shifted, flat):
+                assert abs(fourier - real) < 1e-14
+            q.append(math.hypot(qx, qy))
+            errors.append(np.abs((shifted - flat) / (2 * xi * g * qx * qy / q[-1]) - 1))
+        errors = np.array(errors)
+        assert np.all(np.diff(errors, axis=0) > 0)
+        for loop in errors.T:
+            assert 0.8 <= np.polyfit(np.log(q), np.log(loop), 1)[0] <= 1.2
+        assert np.abs(errors[:, 0] - errors[:, 1]).max() < 1e-10
