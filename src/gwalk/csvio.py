@@ -6,15 +6,13 @@ from the binary mantissa times a power of five in 28-bit limbs, its digits
 from a 4-digit table, and the ``%g`` layout from one table of byte offsets.
 The tables are built on the first grid write.
 
-Before writing, the grid writer checks, a few rows at a time up to the first
-difference, whether rows i and i + n1/2, then columns j and j + n2/2, hold
-the same bits in every field, as in a periodic cell tiled by
-``spectral.SpectrumGrid``.  One loop then formats the distinct columns of
-each block of distinct rows, about ``_BLOCK`` values per kernel call, copies
+A grid's fields may be one period of it: each axis is as long as the fields
+or twice as long, and the fields repeat along a doubled axis, as the 2π cell
+of ``spectral.SpectrumGrid``'s [-2π, 2π)² zone does.  One loop formats each
+block of the fields' rows, about ``_BLOCK`` values per kernel call, copies
 the text into the column translate and writes the rows, then again with the
 qX text of their row translate; those rows come later in the file, so they
-wait in an anonymous temporary file beside it.  A grid that does not repeat
-runs the same loop with its full size as the period.
+wait in an anonymous temporary file beside it.
 """
 
 from __future__ import annotations
@@ -231,45 +229,30 @@ def _texts(values, sep: bytes, right: bool) -> np.ndarray:
     return np.frombuffer(joined, np.uint8).reshape(len(texts), width)
 
 
-def _same_bits(pairs) -> bool:
-    """Whether the two arrays of each pair hold the same bits (-0.0 is not
-    0.0), up to the first pair that does not; numpy's array_equal would map
-    about 0.3 MiB more of its code."""
-    return not any(np.bitwise_or.reduce(np.asarray(a, np.float64).view(np.int64)
-                                        - np.asarray(b, np.float64).view(np.int64),
-                                        axis=None)
-                   for a, b in pairs)
-
-
 class Grid(namedtuple("Grid", "fields axes")):
-    """2D fields of one shape and their axes, written by ``write`` (module
-    docstring)."""
+    """2D fields of one shape, one period of the grid their axes span, written
+    by ``write`` (module docstring)."""
 
     def write(self, fh) -> int:
         """Write the rows to ``fh``; returns their count."""
         n1, n2 = len(self.axes[0]), len(self.axes[1])
+        cell = np.shape(self.fields[0])
         for f in self.fields:
-            if np.shape(f) != (n1, n2):
+            if (np.shape(f) != cell or n1 not in (cell[0], 2 * cell[0])
+                    or n2 not in (cell[1], 2 * cell[1])):
                 raise ValueError(f"grid field of shape {np.shape(f)} does not fit "
                                  f"axes of lengths {n1}, {n2}")
             if np.iscomplexobj(f):
                 raise TypeError("%.17g takes real grid fields, not complex ones")
         if not n1 * n2:
             return 0
-        # the distinct rows p1, then columns p2 within them, compared a few
-        # rows at a time
-        h1, h2, step = n1 // 2, n2 // 2, max(1, _BLOCK // n2)
-        p1, p2 = n1, n2
-        if not n1 % 2 and _same_bits((f[:h1][s:s + step], f[h1:][s:s + step])
-                                     for f in self.fields for s in range(0, h1, step)):
-            p1 = h1
-        if not n2 % 2 and _same_bits((f[s:s + step, :h2], f[s:s + step, h2:])
-                                     for f in self.fields for s in range(0, p1, step)):
-            p2 = h2
+        p1, p2 = cell
+        # whole lines per write, about one kernel call's: more raise peak RSS
+        chunk = max(1, _BLOCK // n2) * n2
         xs = _texts(self.axes[0], b",", right=True)
         ys = _texts(self.axes[1], b",", right=False)
         seps = [b","] * (len(self.fields) - 1) + [b"\n"]
-        rows = max(1, _BLOCK // p2)         # distinct rows per kernel call
+        rows = max(1, _BLOCK // p2)         # field rows per kernel call
         wx, wy = xs.shape[1], ys.shape[1]
         lines = np.empty((rows, n2 // p2, p2, wx + wy + _WIDTH * len(seps)), np.uint8)
         lines[..., wx:wx + wy] = ys.reshape(n2 // p2, p2, wy)
@@ -281,15 +264,14 @@ class Grid(namedtuple("Grid", "fields axes")):
                 stop = min(start + rows, p1)
                 block, text = lines[:stop - start], texts[:(stop - start) * p2]
                 for i, (f, sep) in enumerate(zip(self.fields, seps)):
-                    _format17(np.asarray(f[start:stop, :p2], np.float64).ravel(), sep, text)
+                    _format17(np.asarray(f[start:stop], np.float64).ravel(), sep, text)
                     col = wx + wy + _WIDTH * i
                     block[..., col:col + _WIDTH] = text.reshape(-1, 1, p2, _WIDTH)
                 flat = block.reshape(-1, block.shape[-1])
                 for k, out in enumerate((fh, later)[:n1 // p1]):
                     block[..., :wx] = xs[k * p1 + start:k * p1 + stop, None, None]
-                    # about one kernel call's lines per write: more raise peak RSS
-                    for s in range(0, len(flat), step * n2):
-                        out.write(flat[s:s + step * n2].tobytes().translate(None, b"\0"))
+                    for s in range(0, len(flat), chunk):
+                        out.write(flat[s:s + chunk].tobytes().translate(None, b"\0"))
             later.seek(0)
             shutil.copyfileobj(later, fh, 1 << 16)
         return n1 * n2
@@ -334,7 +316,8 @@ def replacing(path, mode: str = "wb"):
 
 def grid_rows(*fields, axes=None) -> Grid:
     """Rows (x, y, f[i, j], ...) of equally shaped 2D arrays, y fastest, as a
-    ``Grid``; the axes default to ``range(n1), range(n2)``."""
+    ``Grid``; the axes default to ``range(n1), range(n2)``, and an axis twice
+    as long repeats the arrays along it."""
     return Grid(fields, tuple(map(range, fields[0].shape)) if axes is None else axes)
 
 

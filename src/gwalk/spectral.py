@@ -329,7 +329,9 @@ def perturbative_eigs(xi: float, g: float, qx: float, qy: float) -> Perturbative
 
 @dataclass
 class SpectrumGrid:
-    """Scalar samples over the uniform [-2pi, 2pi)^2 grid."""
+    """Scalar samples over the uniform [-2pi, 2pi)^2 grid on the axes ``qx``
+    and ``qy``.  ``values`` is the whole grid, or at even resolution the
+    2pi cell [-2pi, 0)^2 that tiles it: ``csvio.Grid`` writes either."""
 
     qx: np.ndarray
     qy: np.ndarray
@@ -338,28 +340,21 @@ class SpectrumGrid:
     @classmethod
     def sample(cls, fn: Callable, resolution: int) -> "SpectrumGrid":
         """Evaluate fn(qX, qY) one qX row at a time, the row's scalar qX
-        broadcast against the qY axis, into a preallocated grid, so no
+        broadcast against the qY axis, into a preallocated array, so no
         full-grid coordinate or temporary arrays are built.
 
         ``fn`` must be 2π-periodic in each axis, as ``rho`` is.  For even
         ``resolution`` the axis point i + n/2 is point i moved by 2π, so only
-        the cell [-2π, 0)², ``ax[:n/2]`` on both axes, is evaluated: each
-        cell row is copied into its qY translate and then into its qX
-        translate, row by row, which makes the grid exactly periodic.  An odd
-        ``resolution`` has no translate on the grid and evaluates every row.
+        the cell [-2π, 0)², ``ax[:n/2]`` on both axes, is evaluated and kept:
+        its first argmax is the whole grid's.  An odd ``resolution`` has no
+        translate on the grid and evaluates every point.
         """
+        integer(resolution, "resolution", 2)
         ax = -TWO_PI + 2 * TWO_PI * np.arange(resolution) / resolution
-        values = np.empty((resolution, resolution))
-        if resolution % 2:
-            for i, x in enumerate(ax):
-                values[i] = fn(x, ax)
-        else:
-            half = resolution // 2
-            cell = ax[:half]
-            for i, x in enumerate(cell):
-                values[i, :half] = fn(x, cell)
-                values[i, half:] = values[i, :half]
-                values[i + half] = values[i]
+        cell = ax if resolution % 2 else ax[:resolution // 2]
+        values = np.empty((cell.size, cell.size))
+        for i, x in enumerate(cell):
+            values[i] = fn(x, cell)
         return cls(ax, ax.copy(), values)
 
     def to_csv(self, path) -> int:

@@ -158,12 +158,12 @@ class AngleProvider:
 
     def angle(self, j: int, p1, p2, kl: tuple[int, int]):
         """One angle at site (p1, p2); sites wrap with the periodic lattice."""
-        a = self._fn(int(j))[KL_PAIRS.index(tuple(kl))]
+        a = self._fn(int(integer(j, "j", 0)))[KL_PAIRS.index(tuple(kl))]
         return a if self.uniform_in_space else a[p1 % a.shape[0], p2 % a.shape[1]]
 
     def fields(self, j: int, shape: tuple[int, int]) -> dict:
         """Angles of all four kinds at time j, as scalars or (L1, L2) arrays."""
-        th = dict(zip(KL_PAIRS, self._fn(int(j))))
+        th = dict(zip(KL_PAIRS, self._fn(int(integer(j, "j", 0)))))
         if self.uniform_in_space:
             return {kl: float(a) for kl, a in th.items()}
         bad = [np.shape(a) for a in th.values() if np.shape(a) != tuple(shape)]
@@ -181,14 +181,16 @@ def flat_angles() -> AngleProvider:
 def uniform_time_angles(t11, t12, t21, t22, epsilon: float = 1.0) -> AngleProvider:
     """Space-uniform angles; each argument is a constant or a function of T = j*eps."""
     finite(epsilon, "epsilon")
-    fns = [v if callable(v) else (lambda T, c=float(v): c) for v in (t11, t12, t21, t22)]
+    fns = [v if callable(v) else (lambda T, c=finite(v, name): c)
+           for v, name in zip((t11, t12, t21, t22), ("t11", "t12", "t21", "t22"))]
     return AngleProvider(lambda j: tuple(f(j * epsilon) for f in fns),
                          uniform_in_space=True)
 
 
 def pure_shear_angles(xi: float, g, epsilon: float = 1.0) -> AngleProvider:
     """Shear-only wave: th12 = th21 = pi/2 - xi*G(T), th11 = th22 = 0."""
-    gf = g if callable(g) else (lambda T, _g=float(g): _g)
+    finite(xi, "xi")
+    gf = g if callable(g) else (lambda T, _g=finite(g, "g"): _g)
 
     def shear(T):
         return math.pi / 2 - xi * gf(T)
@@ -214,7 +216,7 @@ def array_angles(arrays: dict) -> AngleProvider:
     uniform = all(a.shape[1:] == (1, 1) for a in stacks)
 
     def fn(j):
-        if not 0 <= j < times:
+        if j >= times:
             raise ConfigurationError(
                 f"angle arrays cover times [0, {times}), queried j={j}")
         return tuple(a[j, 0, 0] if uniform else a[j] for a in stacks)
@@ -371,12 +373,11 @@ def _slice(th: dict, j: int, site=None) -> _Slice:
 def _step_gate_lists(provider: AngleProvider, j0: int, steps: int,
                      shape: tuple[int, int], params: WalkParams, margins: list,
                      run: int = 1):
-    """The lazy gate list (:func:`_step_gates`) of each run of steps from
-    j0, reading each of the slices j0 .. j0 + steps once; `margins` is set
-    to [min |det C|, max |T|] over what was read.  A space-uniform
-    provider's list covers a run of up to `run` > 1 steps, as arrays over
-    its times (module docstring).  Other lists are one step's, and a
-    consumed one frees its slice, so at most two slices are held."""
+    """Yield the lazy gate list (:func:`_step_gates`) of each run of steps
+    from j0: up to `run` steps for a space-uniform provider, else one (module
+    docstring).  Sets `margins` to [min |det C|, max |T|] over the slices
+    read.  A consumed one-step list frees its slice, so that at most two
+    per-site slices are held."""
     stacked = provider.uniform_in_space and run > 1
     th = provider.fields(j0, shape)
     rec = _slice(th, j0)
@@ -731,10 +732,8 @@ def _paged(shape, offset: int) -> np.ndarray:
 
 def _time_loop(field: SpinorField, j0: int, steps: int, provider: AngleProvider,
                params: WalkParams) -> _Run:
-    """`steps` walk steps from time j0, reading each of the slices j0 ..
-    j0 + steps once (module docstring).  Space-uniform angles are stepped in
-    Fourier space, where the norms come from Parseval's identity; others in
-    real space, through buffers allocated once."""
+    """`steps` walk steps from time j0 (module docstring).  In Fourier space
+    the norms come from Parseval's identity."""
     integer(steps, "steps", 0)
     margins = []
     gate_lists = _step_gate_lists(provider, j0, steps, field.shape, params, margins, _RUN)
@@ -752,9 +751,8 @@ def _time_loop(field: SpinorField, j0: int, steps: int, provider: AngleProvider,
 
 def _real_steps(data: np.ndarray, gate_lists) -> tuple[np.ndarray, list[float]]:
     """Step a copy of the (2, L1, L2) array `data`, which is only read, in
-    real space, one step per gate list in `gate_lists`, through two field
-    buffers and a scratch allocated once; returns the result and the norm
-    after each step."""
+    real space, one step per gate list in `gate_lists` (module docstring);
+    returns the result and the norm after each step."""
     src, spare, scratch = (_paged(shape, offset) for shape, offset in zip(
         (data.shape, data.shape, _scratch(data.shape)), _PAGE_OFFSETS))
     src[...] = data
@@ -771,22 +769,20 @@ _RUN = 32
 
 
 def _piece(shape) -> int:
-    """Steps per piece of a run whose factors are built at once, on an
-    (L1, L2) lattice: one stacked factor of a piece (4 entries per step and
-    wavenumber) holds at most 1/32 of a field's values, and a piece at
-    least one step.  At 256^2 that is 4 steps, with which the Fourier loop
-    peaks at 1.38 field sizes (1.51 with 8)."""
+    """Steps per piece (module docstring) on an (L1, L2) lattice: one
+    stacked factor of a piece (4 entries per step and wavenumber) holds at
+    most 1/32 of a field's values, and a piece at least one step.  With 4
+    at 256^2 the Fourier loop peaks at 1.38 field sizes (1.51 with 8)."""
     return max(1, min(shape) // 64)
 
 
 def _step_factors(gate_lists, phases: dict, piece: int):
-    """(A_0 at step 0, else None; B_j; A_{j+1} C_j) of each step j, from the
-    factors (:func:`_factor`) of each piece of `piece` steps of the run of
-    each gate list in `gate_lists` (module docstring); the last step's
-    third factor is C_j alone.  A and C are shaped to broadcast as columns.
-    B is built after A and C are freed, and what a piece keeps for the next
-    is copied, so that while a factor is built at most one other of its
-    piece is held."""
+    """Yield (A_0 at step 0, else None; B_j; A_{j+1} C_j) of each step j of
+    the runs in `gate_lists`, built in pieces of `piece` steps (module
+    docstring); the last step's third factor is C_j alone.  A and C are
+    shaped to broadcast as columns.  B is built after A and C are freed,
+    and what a piece keeps for the next is copied, so that while a factor
+    is built at most one other of its piece is held."""
     first = held = None
     for gates in gate_lists:
         factors = _factor_gates(gates)
@@ -810,11 +806,10 @@ def _step_factors(gate_lists, phases: dict, piece: int):
 
 def _fourier_steps(spec: np.ndarray, gate_lists) -> tuple[np.ndarray, list[float]]:
     """Step the unitary Fourier transform `spec` of a field in place, one
-    run of steps per gate list in `gate_lists` (at least one step); see the
-    module docstring.  A step is one pass over blocks of k1 rows, each of at
-    most _CHUNK modes, so that the block and its two temporaries stay in
-    cache.  The norm after step j is taken after A_{j+1} C_j, which is
-    unitary too."""
+    run of steps per gate list in `gate_lists` (at least one step; module
+    docstring); returns it and the norm after each step, taken after
+    A_{j+1} C_j, which is unitary too.  A block of k1 rows holds at most
+    _CHUNK modes, so that it and its two temporaries stay in cache."""
     l1, l2 = spec.shape[1:]
     k1, k2 = (2 * np.pi * np.arange(n) / n for n in (l1, l2))
     rows = max(1, _CHUNK // (2 * l2))
@@ -856,6 +851,8 @@ def plane_wave_transfer_matrix(provider: AngleProvider, j: int,
     if not provider.uniform_in_space:
         raise ConfigurationError(
             "plane-wave transfer matrix requires space-uniform angles")
+    finite(k1, "k1")
+    finite(k2, "k2")
     gates = next(_step_gate_lists(provider, j, 1, (2, 2), params, []))
     a, b, c = (_factor(f, _entry_phases(k1, k2)) for f in _factor_gates(gates))
     return np.reshape(_times(c, _times(b, a)), (2, 2))

@@ -47,9 +47,10 @@ def test_mid_write_failure_leaves_no_file(tmp_path):
 
 
 def oracle_grid_rows(*fields, axes=None):
-    """Per-site rows (x, y, f[i, j], ...), y fastest: the writer's reference."""
-    n1, n2 = fields[0].shape
-    xs, ys = (range(n1), range(n2)) if axes is None else axes
+    """Per-site rows (x, y, f[i, j], ...), y fastest, of the fields tiled
+    over the axes: the writer's reference."""
+    xs, ys = map(range, fields[0].shape) if axes is None else axes
+    fields = [np.tile(f, (len(xs) // f.shape[0], len(ys) // f.shape[1])) for f in fields]
     for x, row in zip(xs, zip(*fields)):
         for y, values in zip(ys, zip(*(r.tolist() for r in row))):
             yield (x, y, *values)
@@ -101,18 +102,18 @@ def test_failed_grid_write_leaves_no_tmp_and_keeps_earlier_file(tmp_path, monkey
 
 
 def test_grid_write_copies_no_whole_grid(tmp_path):
-    # the periodic grid takes the period check and the spill file: a
-    # difference of its halves would be half the grid
+    # the cell on doubled axes takes the spill file: a copy of the tiled
+    # grid would be the whole grid
     values = np.random.default_rng(0).standard_normal((512, 512))
-    periodic = np.tile(values[:256, :256], (2, 2))
-    for grid in (values, periodic):
+    axes = (range(512), range(512))
+    for grid in (grid_rows(values), grid_rows(values[:256, :256], axes=axes)):
         tracemalloc.start()
         try:
-            write_csv(tmp_path / "grid.csv", ["x", "y", "v"], grid_rows(grid))
+            assert write_csv(tmp_path / "grid.csv", ["x", "y", "v"], grid) == values.size
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.25 * grid.nbytes
+        assert peak < 0.25 * values.nbytes
 
 
 @pytest.mark.parametrize("header", [["x", "y", "a"], ["x", "y", "a", "b", "c"]])
@@ -129,10 +130,13 @@ def test_grid_header_must_match_the_fields(tmp_path, header):
     (np.zeros((2, 3)), (range(3), range(3))),
     (np.zeros((2, 3)), (range(2), range(4))),
     (np.zeros((2, 3)), (range(2), range(2))),
+    (np.zeros((2, 3)), (range(6), range(3))),
+    (np.zeros((2, 3)), (range(2), range(9))),
+    (np.zeros((2, 3)), (range(2), range(5))),
 ])
 def test_grid_of_mismatched_shapes_raises_and_leaves_no_file(tmp_path, second, axes):
     grid = grid_rows(np.zeros((2, 3)), second, axes=axes)
-    with pytest.raises((ValueError, TypeError)):
+    with pytest.raises(ValueError, match="does not fit"):
         write_csv(tmp_path / "grid.csv", ["x", "y", "a", "b"], grid)
     assert list(tmp_path.iterdir()) == []
 
@@ -214,13 +218,13 @@ def half_rows(draw, n1, half, odd):
     return np.concatenate([first, second] + [first[:, :1]] * odd, axis=1)
 
 
-def write_with_block(path, fields, block):
+def write_with_block(path, fields, block, axes=None):
     """``write_csv`` of a grid, formatting ``block`` values per kernel call:
-    a small block puts many blocks, repeated and not, in one grid."""
+    a small block puts many blocks in one grid."""
     header = ["x", "y"] + [f"f{i}" for i in range(len(fields))]
     with mock.patch.object(csvio, "_BLOCK", block):
-        write_csv(path, header, grid_rows(*fields))
-    write_csv(path.with_suffix(".rows"), header, oracle_grid_rows(*fields))
+        write_csv(path, header, grid_rows(*fields, axes=axes))
+    write_csv(path.with_suffix(".rows"), header, oracle_grid_rows(*fields, axes=axes))
     return path.read_bytes(), path.with_suffix(".rows").read_bytes()
 
 
@@ -234,37 +238,20 @@ def test_grid_with_repeated_half_rows_writes_the_bytes_of_percent(
 
 @st.composite
 def periodic_fields(draw):
-    """1-3 fields tiled from one cell, so that rows i and i + n1/2 and columns
-    j and j + n2/2 repeat, and at will one more row or column (odd n1, n2).
-    Each field may then break the repeat once: one site one ulp away, or one
-    translate of a zero cell site turned into -0.0."""
-    h1, h2, odd1, odd2 = draw(st.tuples(st.integers(1, 6), st.integers(1, 6),
-                                        st.booleans(), st.booleans()))
-    fields = []
-    for _ in range(draw(st.integers(1, 3))):
-        cell = draw(hnp.arrays(np.float64, (h1, h2), elements=FLOATS))
-        i, j = draw(st.integers(0, h1 - 1)), draw(st.integers(0, h2 - 1))
-        change = draw(st.sampled_from([None, "ulp", "sign"]))
-        if change == "sign":
-            cell[i, j] = 0.0
-        f = np.tile(cell, (2, 2))
-        f = np.concatenate([f] + [f[:1]] * odd1, axis=0)
-        f = np.concatenate([f] + [f[:, :1]] * odd2, axis=1)
-        if change == "sign":
-            f[i + h1 * draw(st.integers(0, 1)), j + h2 * draw(st.integers(0, 1))] = -0.0
-        elif change == "ulp":
-            site = draw(st.integers(0, f.shape[0] - 1)), draw(st.integers(0, f.shape[1] - 1))
-            with np.errstate(over="ignore"):        # the largest float steps to inf
-                f[site] = np.nextafter(f[site], draw(st.sampled_from([-np.inf, np.inf])))
-        fields.append(f)
-    return fields
+    """1-3 cells of one shape, and index axes each as long as the cells or
+    twice as long: a doubled axis tiles the cells along it."""
+    cell = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    fields = [draw(hnp.arrays(np.float64, cell, elements=FLOATS))
+              for _ in range(draw(st.integers(1, 3)))]
+    return fields, tuple(range(n * draw(st.integers(1, 2))) for n in cell)
 
 
 @given(periodic_fields(), st.integers(1, 16))
 def test_grid_with_repeated_rows_and_columns_writes_the_bytes_of_percent(
-        tmp_path_factory, fields, block):
+        tmp_path_factory, case, block):
+    fields, axes = case
     grid, rows = write_with_block(tmp_path_factory.mktemp("periodic") / "grid.csv",
-                                  fields, block)
+                                  fields, block, axes)
     assert grid == rows
 
 
@@ -284,7 +271,7 @@ def spectrum_bytes(path, values, grid):
     """The bytes ``write_csv`` gives for ``values`` on ``grid``'s axes, and
     those of the oracle's per-site rows."""
     header, axes = ["qX", "qY", "value"], (grid.qx, grid.qy)
-    assert write_csv(path, header, grid_rows(values, axes=axes)) == values.size
+    assert write_csv(path, header, grid_rows(values, axes=axes)) == grid.qx.size * grid.qy.size
     write_csv(path.with_suffix(".rows"), header, oracle_grid_rows(values, axes=axes))
     return path.read_bytes(), path.with_suffix(".rows").read_bytes()
 
@@ -301,9 +288,10 @@ def test_periodic_spectrum_formats_each_distinct_value_once(
 
 
 def test_periodic_spectrum_with_one_site_moved_writes_the_bytes_of_percent(tmp_path):
+    # the moved cell site shows in each of its four translates
     grid = SpectrumGrid.sample(rho, 64)
     values = grid.values.copy()
-    values[40, 21] = np.nextafter(values[40, 21], np.inf)
+    values[20, 21] = np.nextafter(values[20, 21], np.inf)
     written, oracle = spectrum_bytes(tmp_path / "grid.csv", values, grid)
     assert written == oracle
 
@@ -322,9 +310,9 @@ def test_failed_periodic_grid_write_leaves_only_the_earlier_file(tmp_path, monke
         format17(values, sep, out)
 
     monkeypatch.setattr(csvio, "_format17", failing)
-    values = np.tile(np.random.default_rng(2).standard_normal((128, 128)), (2, 2))
+    cell = np.random.default_rng(2).standard_normal((128, 128))
     with pytest.raises(OSError, match="disk full"):
-        write_csv(path, ["x", "y", "v"], grid_rows(values))
+        write_csv(path, ["x", "y", "v"], grid_rows(cell, axes=(range(256), range(256))))
     assert len(calls) == 3
     assert list(tmp_path.iterdir()) == [path]
     assert path.read_bytes() == earlier

@@ -355,6 +355,14 @@ class TestFigureTables:
         for p in paths.values():
             assert p.exists()
 
+    @pytest.mark.parametrize("resolution", [64, 63])
+    def test_fig1_has_the_bytes_of_the_cli_spectrum(self, tmp_path, resolution):
+        paths = figure_tables(tmp_path / "fig", figures=["fig1"], resolution=resolution)
+        config = {"experiment": "spectrum", "resolution": resolution,
+                  "out_dir": str(tmp_path / "cli")}
+        assert run(parse_config(None, config)) == 0
+        assert paths["fig1"].read_bytes() == (tmp_path / "cli" / "rho.csv").read_bytes()
+
     def test_fig4_columns_and_endpoint(self, tmp_path):
         paths = figure_tables(tmp_path, figures=("fig4",), sweep_resolution=64)
         lines = paths["fig4"].read_text().splitlines()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -530,17 +531,18 @@ class TestSpectrumGrid:
         grid = SpectrumGrid.sample(rho, resolution)
         cell = grid.qy[:resolution // 2]
         full = np.stack([rho(np.full(cell.size, x), cell) for x in cell])
-        assert np.array_equal(grid.values[:cell.size, :cell.size], full)
+        assert np.array_equal(grid.values, full)
 
     @pytest.mark.parametrize("resolution", [8, 64, 1024])
     def test_even_grid_is_exactly_periodic_and_near_direct_evaluation(self, resolution):
+        # the grid keeps the cell [-2pi, 0)^2, which tiles the whole grid
         grid = SpectrumGrid.sample(rho, resolution)
         half = resolution // 2
-        assert np.array_equal(grid.values[half:], grid.values[:half])
-        assert np.array_equal(grid.values[:, half:], grid.values[:, :half])
+        assert grid.values.shape == (half, half)
+        assert grid.qx.size == grid.qy.size == resolution
         direct = np.stack([rho(x, grid.qy) for x in grid.qx])
         # the translates differ from their own evaluation in the last bits
-        assert np.abs(grid.values - direct).max() <= 1e-14
+        assert np.abs(np.tile(grid.values, (2, 2)) - direct).max() <= 1e-14
 
     def test_odd_grid_equals_direct_evaluation(self):
         # no 2pi translate falls on an odd grid: every row is evaluated
@@ -558,3 +560,21 @@ class TestSpectrumGrid:
 
         grid = SpectrumGrid.sample(fn, resolution)
         assert calls == [(x, width) for x in grid.qx[:rows].tolist()]
+
+    def test_sample_allocates_only_the_cell(self):
+        # a 512^2 cell is 0.25 of the 1024^2 grid it stands for
+        tracemalloc.start()
+        try:
+            SpectrumGrid.sample(rho, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.3 * 1024 ** 2 * 8
+
+    @pytest.mark.parametrize("resolution", [-2, 0, 1, 2.5, True, "8", None])
+    def test_resolution_is_an_integer_of_at_least_two(self, resolution):
+        with pytest.raises(ConfigurationError, match="resolution"):
+            SpectrumGrid.sample(rho, resolution)
+
+    def test_numpy_integer_resolution(self):
+        assert SpectrumGrid.sample(rho, np.int64(4)).values.shape == (2, 2)

@@ -149,10 +149,33 @@ class TestArgumentKinds:
         (lambda: WalkParams(epsilon=True), "epsilon"),
         (lambda: evolve(SpinorField.zeros((4, 4)), 0, 2.5, flat_angles(), WalkParams()),
          "steps"),
-    ], ids=["epsilon-bool", "steps-float"])
+        (lambda: t_epsilon_field(flat_angles(), 1.5, (4, 4), WalkParams()), "j"),
+        (lambda: t_epsilon(flat_angles(), 1.5, 0, 0, WalkParams()), "j"),
+        (lambda: step(SpinorField.zeros((4, 4)), 1.5, flat_angles(), WalkParams()), "j"),
+        (lambda: evolve(SpinorField.zeros((4, 4)), 1.5, 2, flat_angles(), WalkParams()),
+         "j"),
+        (lambda: pure_shear_angles(np.nan, 1.0), "xi"),
+        (lambda: pure_shear_angles(1e-3, np.nan), "g"),
+        (lambda: uniform_time_angles(0.0, np.nan, 1.0, 0.0), "t12"),
+        (lambda: uniform_time_angles(0.0, 1.0, 1.0, np.inf), "t22"),
+        (lambda: plane_wave_transfer_matrix(flat_angles(), 0, np.nan, 0.1, WalkParams()),
+         "k1"),
+        (lambda: plane_wave_transfer_matrix(flat_angles(), 0, 0.1, np.nan, WalkParams()),
+         "k2"),
+    ], ids=["epsilon-bool", "steps-float", "t_epsilon_field-j-float", "t_epsilon-j-float",
+            "step-j-float", "evolve-j-float", "shear-xi-nan", "shear-g-nan", "t12-nan",
+            "t22-inf", "k1-nan", "k2-nan"])
     def test_bad_argument_is_a_config_error_naming_it(self, make, name):
-        with pytest.raises(ConfigurationError, match=name):
+        with pytest.raises(ConfigurationError, match=rf"^{name} must be"):
             make()
+
+    def test_numpy_integer_time_is_a_time(self):
+        provider = random_history_provider(np.random.default_rng(4), shape=(4, 4))
+        for j in (np.int64(1), np.uint8(1)):
+            assert np.array_equal(t_epsilon_field(provider, j, (4, 4), WalkParams()),
+                                  t_epsilon_field(provider, 1, (4, 4), WalkParams()))
+            assert t_epsilon(provider, j, 1, 2, WalkParams()) == t_epsilon(
+                provider, 1, 1, 2, WalkParams())
 
     def test_numpy_scalars_are_numbers(self):
         params = WalkParams(epsilon=np.float64(0.5), mass=np.float32(0.25),
@@ -376,8 +399,8 @@ class TestAngleProviders:
     def test_array_provider_bounds_check(self):
         rng = np.random.default_rng(14)
         provider = random_history_provider(rng, times=2, shape=(4, 4))
-        for j in (2, -1):
-            with pytest.raises(ConfigurationError, match="cover times"):
+        for j, message in ((2, "cover times"), (-1, "j must be an integer >= 0")):
+            with pytest.raises(ConfigurationError, match=message):
                 provider.angle(j, 0, 0, (1, 1))
 
     def test_fields_shapes(self):
