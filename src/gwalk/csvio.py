@@ -257,9 +257,11 @@ class Grid(namedtuple("Grid", "fields axes")):
         lines = np.empty((rows, n2 // p2, p2, wx + wy + _WIDTH * len(seps)), np.uint8)
         lines[..., wx:wx + wy] = ys.reshape(n2 // p2, p2, wy)
         texts = np.empty((rows * p2, _WIDTH), np.uint8)
-        # rows p1.. follow rows ..p1 in the file: they wait in an anonymous
-        # file beside it
-        with tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(fh.name))) as later:
+        # rows p1.. of a doubled first axis follow rows ..p1 in the file: they
+        # wait in an anonymous file beside it
+        spill = (tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(fh.name)))
+                 if n1 == 2 * p1 else contextlib.nullcontext())
+        with spill as later:
             for start in range(0, p1, rows):
                 stop = min(start + rows, p1)
                 block, text = lines[:stop - start], texts[:(stop - start) * p2]
@@ -272,8 +274,9 @@ class Grid(namedtuple("Grid", "fields axes")):
                     block[..., :wx] = xs[k * p1 + start:k * p1 + stop, None, None]
                     for s in range(0, len(flat), chunk):
                         out.write(flat[s:s + chunk].tobytes().translate(None, b"\0"))
-            later.seek(0)
-            shutil.copyfileobj(later, fh, 1 << 16)
+            if later is not None:
+                later.seek(0)
+                shutil.copyfileobj(later, fh, 1 << 16)
         return n1 * n2
 
 

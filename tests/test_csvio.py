@@ -318,6 +318,25 @@ def test_failed_periodic_grid_write_leaves_only_the_earlier_file(tmp_path, monke
     assert path.read_bytes() == earlier
 
 
+@pytest.mark.parametrize("axes, opens", [(None, 0), ((range(64), range(128)), 0),
+                                         ((range(128), range(64)), 1)])
+def test_grid_write_opens_a_spill_file_only_for_a_doubled_first_axis(
+        tmp_path, axes, opens):
+    opened, temporary_file = [], csvio.tempfile.TemporaryFile
+
+    def counting(*args, **kwargs):
+        opened.append(kwargs)
+        return temporary_file(*args, **kwargs)
+
+    cell = np.random.default_rng(3).standard_normal((64, 64))
+    path = tmp_path / "grid.csv"
+    with mock.patch.object(csvio.tempfile, "TemporaryFile", counting):
+        write_csv(path, ["x", "y", "v"], grid_rows(cell, axes=axes))
+    assert len(opened) == opens
+    write_csv(tmp_path / "rows.csv", ["x", "y", "v"], oracle_grid_rows(cell, axes=axes))
+    assert path.read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
 def test_importing_the_cli_builds_no_kernel_table():
     code = "import gwalk.cli, gwalk.csvio as c; raise SystemExit(c._tables.cache_info().currsize)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

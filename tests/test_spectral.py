@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,11 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gwalk import spectral
+from gwalk.cli import parse_config, run
+from gwalk.csvio import sha256_file
 from gwalk.errors import ConfigurationError, ConsistencyError
 from gwalk.spectral import (SpectrumGrid, eigen, find_rho_maxima,
                             large_scale_operator, mode_operator, mode_w0, mode_w1,
                             perturbative_eigs, rho, transfer_matrix, unaffected_modes)
 from gwalk.walk import SpinorField
+
+from oracles import broadcast_grid
 
 TWO_PI = 2 * math.pi
 
@@ -330,6 +335,17 @@ class TestMaximaSearch:
         with pytest.raises(ConsistencyError, match="converge"):
             find_rho_maxima(256)
 
+    def test_scan_allocates_a_fraction_of_the_grid(self):
+        # the bound of test_sample_allocates_only_the_cell: the 512^2 cell
+        # is 0.25 of the 1024^2 grid, and its blocks' temporaries are small
+        tracemalloc.start()
+        try:
+            find_rho_maxima(1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.3 * 1024 ** 2 * 8
+
 
 class TestUnaffectedModes:
     def test_exactly_thirteen(self):
@@ -526,8 +542,8 @@ class TestSpectrumGrid:
 
     @pytest.mark.parametrize("resolution", [8, 1024])
     def test_sample_with_a_scalar_row_equals_the_full_row_evaluation(self, resolution):
-        # the grid hands rho each cell row's qX as a scalar; broadcast against
-        # the cell's qY axis it gives the same floats as a row of repeated qX
+        # rho broadcasts a block's qX column against the cell's qY row; that
+        # gives the same floats as a row of repeated qX
         grid = SpectrumGrid.sample(rho, resolution)
         cell = grid.qy[:resolution // 2]
         full = np.stack([rho(np.full(cell.size, x), cell) for x in cell])
@@ -550,16 +566,22 @@ class TestSpectrumGrid:
         direct = np.stack([rho(x, grid.qy) for x in grid.qx])
         assert np.array_equal(grid.values, direct)
 
-    @pytest.mark.parametrize("resolution, rows, width", [(8, 4, 4), (7, 7, 7)])
+    @pytest.mark.parametrize("resolution, rows, width",
+                             [(8, 4, 4), (7, 7, 7), (1024, 512, 512), (1025, 1025, 1025)])
     def test_even_grid_evaluates_the_cell_only(self, resolution, rows, width):
+        # fn sees blocks of whole rows: a qX column and the cell's qY row
         calls = []
 
         def fn(x, y):
-            calls.append((float(x), len(y)))
+            calls.append((x.copy(), y.copy()))
             return rho(x, y)
 
         grid = SpectrumGrid.sample(fn, resolution)
-        assert calls == [(x, width) for x in grid.qx[:rows].tolist()]
+        assert np.array_equal(np.concatenate([x.ravel() for x, _ in calls]),
+                              grid.qx[:rows])
+        for x, y in calls:
+            assert x.shape[1] == 1 and x.size * width <= max(spectral._BLOCK, width)
+            assert y.shape == (1, width) and np.array_equal(y[0], grid.qy[:width])
 
     def test_sample_allocates_only_the_cell(self):
         # a 512^2 cell is 0.25 of the 1024^2 grid it stands for
@@ -578,3 +600,38 @@ class TestSpectrumGrid:
 
     def test_numpy_integer_resolution(self):
         assert SpectrumGrid.sample(rho, np.int64(4)).values.shape == (2, 2)
+
+
+class TestGridValues:
+    """Blocks of rows give the bits of one broadcast over the whole cell."""
+
+    # a few values per block, so rows and blocks of one row, and a short last
+    # block, all occur; larger blocks take several rows of the scan's cell
+    blocks = st.integers(1, 64) | st.integers(65, 2 ** 14)
+
+    @given(resolution=st.integers(2, 80), block=blocks)
+    def test_sample_has_the_bits_of_one_broadcast(self, resolution, block):
+        with mock.patch.object(spectral, "_BLOCK", block):
+            grid = SpectrumGrid.sample(rho, resolution)
+        cell = grid.qx if resolution % 2 else grid.qx[:resolution // 2]
+        assert grid.values.tobytes() == broadcast_grid(rho, cell, cell).tobytes()
+
+    @given(resolution=st.integers(256, 700), block=blocks)
+    def test_maxima_have_the_bits_of_one_broadcast(self, resolution, block):
+        with mock.patch.object(spectral, "_grid_values", broadcast_grid):
+            expected = find_rho_maxima(resolution)
+        with mock.patch.object(spectral, "_BLOCK", block):
+            found = find_rho_maxima(resolution)
+        assert (np.array([(p.qX, p.qY, v) for p, v in found]).tobytes()
+                == np.array([(p.qX, p.qY, v) for p, v in expected]).tobytes())
+
+    @pytest.mark.parametrize("resolution, digest", [
+        (1024, "55d9eb90543929972ebf8a7bd6f13b87579fb5c014318c4a2cb23fc475d23bd0"),
+        (1023, "ed2e3f7d37ec6d111d170ce270fe6943a859c03001c850fdc2acb496f259041f"),
+    ])
+    def test_rho_maxima_csv_is_pinned(self, tmp_path, resolution, digest):
+        # the digests of the whole-cell broadcast scan
+        config = {"experiment": "rho-max", "resolution": resolution,
+                  "out_dir": str(tmp_path)}
+        assert run(parse_config(None, config)) == 0
+        assert sha256_file(tmp_path / "rho_maxima.csv") == digest
