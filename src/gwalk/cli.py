@@ -8,6 +8,7 @@ Identical configs give byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -18,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import continuum, geometry, interference, spectral, walk
-from .csvio import grid_rows, replacing, sha256_file, write_csv
+# sha256_file is kept as a cli global for bench/tracing.py, which wraps it
+from .csvio import grid_rows, replacing, sha256_file, write_csv  # noqa: F401
 from .errors import (ConfigurationError, ConsistencyError, WalkError, choice, even_pair,
                      finite, finite_list, integer, optional)
 
@@ -168,10 +170,17 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
 # experiment implementations
 # ---------------------------------------------------------------------------
 
+def _record(artifacts: list, path: Path, write, *args) -> None:
+    """Run ``write(path, *args, digest=...)``, a CSV writer that returns its
+    row count, and record the path, the rows and the written bytes' SHA-256."""
+    digest = hashlib.sha256()
+    artifacts.append((path, write(path, *args, digest=digest), digest.hexdigest()))
+
+
 def _run_spectrum(cfg: RunConfig, out: Path, artifacts: list, metrics: dict):
     grid = spectral.SpectrumGrid.sample(spectral.rho, cfg.resolution)
     path = out / "rho.csv"
-    artifacts.append((path, grid.to_csv(path)))
+    _record(artifacts, path, grid.to_csv)
     imax = np.unravel_index(int(np.argmax(grid.values)), grid.values.shape)
     metrics["rho_grid_max"] = float(grid.values[imax])
     metrics["rho_grid_argmax"] = [float(grid.qx[imax[0]]), float(grid.qy[imax[1]])]
@@ -181,7 +190,7 @@ def _run_rho_max(cfg: RunConfig, out: Path, artifacts: list, metrics: dict):
     maxima = spectral.find_rho_maxima(max(cfg.resolution, 256))
     path = out / "rho_maxima.csv"
     rows = [(pt.qX, pt.qY, v) for pt, v in maxima]
-    artifacts.append((path, write_csv(path, ["qX", "qY", "value"], rows)))
+    _record(artifacts, path, write_csv, ["qX", "qY", "value"], rows)
     metrics["maxima_value_mean"] = float(np.mean([v for _, v in maxima]))
 
 
@@ -189,7 +198,7 @@ def _run_unaffected(cfg: RunConfig, out: Path, artifacts: list, metrics: dict):
     modes = spectral.unaffected_modes()
     path = out / "unaffected_modes.csv"
     rows = [(pt.qX, pt.qY, float(spectral.rho(pt.qX, pt.qY))) for pt in modes]
-    artifacts.append((path, write_csv(path, ["qX", "qY", "rho"], rows)))
+    _record(artifacts, path, write_csv, ["qX", "qY", "rho"], rows)
     metrics["count"] = len(modes)
 
 
@@ -203,13 +212,13 @@ def _run_interference(cfg: RunConfig, out: Path, artifacts: list, metrics: dict)
                                            xi=cfg.params.xi, g0=cfg.gw.g_at(0.0))
     n0, delta_site, profile = interference.step_response(setup)
     grid_path = out / "interference_grid.csv"
-    artifacts.append((grid_path, write_csv(grid_path, ["pX", "pY", "N0", "delta"],
-                                           grid_rows(n0, delta_site))))
+    _record(artifacts, grid_path, write_csv, ["pX", "pY", "N0", "delta"],
+            grid_rows(n0, delta_site))
 
     prof_path = out / "interference_profile.csv"
     rows = [(setup.q, u, d)
             for u, d in zip(profile.u.tolist(), profile.delta.tolist())]
-    artifacts.append((prof_path, write_csv(prof_path, ["q", "u", "delta"], rows)))
+    _record(artifacts, prof_path, write_csv, ["q", "u", "delta"], rows)
     metrics["q_requested"] = float(q_requested)
     metrics["q_used"] = float(q_used)
     metrics["max_abs_delta"] = float(np.abs(profile.delta).max())
@@ -219,8 +228,7 @@ def _run_deltam_sweep(cfg: RunConfig, out: Path, artifacts: list, metrics: dict)
     rows = interference.deltam_rows(
         np.linspace(0.0, math.pi, cfg.resolution, endpoint=False))
     path = out / "deltam_sweep.csv"
-    artifacts.append((path, write_csv(
-        path, ["q", "deltaM_continuous", "deltaM_integer"], rows)))
+    _record(artifacts, path, write_csv, ["q", "deltaM_continuous", "deltaM_integer"], rows)
     best = max(rows, key=lambda r: r[1])
     metrics["sweep_max"] = best[1]
     metrics["sweep_argmax"] = best[0]
@@ -263,7 +271,7 @@ def _run_continuum_check(cfg: RunConfig, out: Path, artifacts: list, metrics: di
             rows.append((eps, continuum.continuum_residual(provider, params, f, 0,
                                                           bandlimit=fraction)))
         path = out / f"continuum_{case}.csv"
-        artifacts.append((path, write_csv(path, ["epsilon", "residual"], rows)))
+        _record(artifacts, path, write_csv, ["epsilon", "residual"], rows)
         logs = np.log([r[0] for r in rows]), np.log([r[1] for r in rows])
         metrics[f"order_{case}"] = float(np.polyfit(logs[0], logs[1], 1)[0])
         metrics[f"bandlimit_{case}"] = bandlimit
@@ -280,10 +288,10 @@ def _run_evolve(cfg: RunConfig, out: Path, artifacts: list, metrics: dict):
         raise ConsistencyError(
             f"norm drift {drift:.3e} after {cfg.steps} steps exceeds {NORM_DRIFT_TOL:g}")
     norm_path = out / "evolve_norm.csv"
-    artifacts.append((norm_path, write_csv(norm_path, ["step", "norm"], norms)))
+    _record(artifacts, norm_path, write_csv, ["step", "norm"], norms)
     dens_path = out / "evolve_density.csv"
-    artifacts.append((dens_path, write_csv(dens_path, ["pX", "pY", "density"],
-                                           grid_rows(run.field.density()))))
+    _record(artifacts, dens_path, write_csv, ["pX", "pY", "density"],
+            grid_rows(run.field.density()))
     metrics["final_norm"] = norms[-1][1]
     metrics["norm_drift"] = drift
     metrics["max_norm_error"] = max(errors)
@@ -301,8 +309,7 @@ def _run_gw_angles(cfg: RunConfig, out: Path, artifacts: list, metrics: dict):
                 f"gw angles are not finite at T={t:g} (j={j}): {angles}")
         rows.append((t, *angles))
     path = out / "gw_angles.csv"
-    artifacts.append((path, write_csv(
-        path, ["T", "theta11", "theta12", "theta21", "theta22"], rows)))
+    _record(artifacts, path, write_csv, ["T", "theta11", "theta12", "theta21", "theta22"], rows)
     metrics["times"] = len(rows)
 
 
@@ -326,24 +333,28 @@ def run(config: RunConfig) -> int:
     disagrees with the files beside it.
     """
     out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigurationError(f"out_dir {str(out)!r} cannot be made a directory: "
+                                 f"{exc.strerror}") from exc
     (out / "manifest.json").unlink(missing_ok=True)
-    artifacts: list[tuple[Path, int]] = []
+    artifacts: list[tuple[Path, int, str]] = []
     metrics: dict = {}
     try:
         _RUNNERS[config.experiment](config, out, artifacts, metrics)
         manifest = {
             "experiment": config.experiment,
             "inputs": config.resolved,
-            "outputs": [{"path": Path(p).name, "sha256": sha256_file(p), "rows": rows}
-                        for p, rows in artifacts],
+            "outputs": [{"path": Path(p).name, "sha256": sha256, "rows": rows}
+                        for p, rows, sha256 in artifacts],
             "metrics": metrics,
         }
         with replacing(out / "manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
     except BaseException:
-        for path, _ in artifacts:
+        for path, *_ in artifacts:
             try:
                 Path(path).unlink()
             except OSError:

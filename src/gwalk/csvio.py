@@ -13,6 +13,18 @@ block of the fields' rows, about ``_BLOCK`` values per kernel call, copies
 the text into the column translate and writes the rows, then again with the
 qX text of their row translate; those rows come later in the file, so they
 wait in an anonymous temporary file beside it.
+
+Given a ``hashlib`` object as ``digest``, ``write_csv`` feeds it the file's
+own bytes, read back from the temporary file into one 256 KiB buffer.  A
+grid whose rows spill (a doubled first axis) starts one reader thread that
+follows the writer and is joined before the call returns, on failure too:
+hashing and file reads release the GIL, so the thread hashes the file
+while the writer formats rows and copies the spilled half in.  Any other
+table is read back after its last row, on the caller's thread: where every
+row is formatted, fewer bytes land per hand-off of the GIL, and the
+hand-offs cost more than the hashing they overlap (measured on 256² to
+1023² grids).  So no CSV is read again once written, and without a
+``digest`` nothing is hashed.
 """
 
 from __future__ import annotations
@@ -24,6 +36,7 @@ import math
 import os
 import shutil
 import tempfile
+import threading
 import types
 from collections import namedtuple
 
@@ -233,6 +246,12 @@ class Grid(namedtuple("Grid", "fields axes")):
     """2D fields of one shape, one period of the grid their axes span, written
     by ``write`` (module docstring)."""
 
+    @property
+    def spills(self) -> bool:
+        """Whether the first axis is doubled: the rows of its second half wait
+        in a spill file and are copied in after the first half."""
+        return len(self.axes[0]) == 2 * np.shape(self.fields[0])[0]
+
     def write(self, fh) -> int:
         """Write the rows to ``fh``; returns their count."""
         n1, n2 = len(self.axes[0]), len(self.axes[1])
@@ -260,7 +279,7 @@ class Grid(namedtuple("Grid", "fields axes")):
         # rows p1.. of a doubled first axis follow rows ..p1 in the file: they
         # wait in an anonymous file beside it
         spill = (tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(fh.name)))
-                 if n1 == 2 * p1 else contextlib.nullcontext())
+                 if self.spills else contextlib.nullcontext())
         with spill as later:
             for start in range(0, p1, rows):
                 stop = min(start + rows, p1)
@@ -280,18 +299,20 @@ class Grid(namedtuple("Grid", "fields axes")):
         return n1 * n2
 
 
-def write_csv(path, header, rows) -> int:
+def write_csv(path, header, rows, digest=None) -> int:
     """Write rows, or a ``grid_rows`` grid, under a header; returns the row count.
 
     Every value is written as ``%.17g`` (reals keep 17 digits, integers stay
-    integers), through ``replacing``: a failure leaves no partial file.
+    integers), through ``replacing``: a failure leaves no partial file.  A
+    ``hashlib`` object given as ``digest`` is fed the bytes written (module
+    docstring).
     """
     grid = isinstance(rows, Grid)
     if grid and len(header) != 2 + len(rows.fields):
         raise ValueError(f"header {header} does not fit {len(rows.fields)} grid fields")
     template = b",".join([b"%.17g"] * len(header)) + b"\n"
     count = 0
-    with replacing(path) as fh:
+    with replacing(path) as fh, _read_back(fh, digest, behind=grid and rows.spills):
         fh.write(",".join(header).encode() + b"\n")
         if grid:
             count = rows.write(fh)
@@ -300,6 +321,50 @@ def write_csv(path, header, rows) -> int:
                 fh.write(template % tuple(row))
                 count += 1
     return count
+
+
+#: bytes per read of the digest's reader, into one buffer: 64 KiB reads
+#: kept less of the gain on a 1024² spectrum, 1 MiB ones were no faster
+_READ = 1 << 18
+
+
+def _feed(back, digest, done) -> None:
+    """Feed ``digest`` what ``back`` reads until it reads nothing after
+    ``done`` was set; while the writer is ahead, poll ``done`` every 1 ms."""
+    buffer = memoryview(bytearray(_READ))
+    while True:
+        finished = done.is_set()    # before the read: a read after done sees the rest
+        n = back.readinto(buffer)
+        if n:
+            digest.update(buffer[:n])
+        elif finished:
+            return
+        else:
+            done.wait(0.001)
+
+
+@contextlib.contextmanager
+def _read_back(fh, digest, behind: bool):
+    """Feed ``digest``, if given, the bytes written to ``fh`` in the block,
+    read back from the file: on a thread that follows the writer if
+    ``behind``, else after the block (module docstring)."""
+    if digest is None:
+        yield
+        return
+    done = threading.Event()
+    with open(fh.name, "rb", buffering=0) as back:
+        reader = threading.Thread(target=_feed, args=(back, digest, done)) if behind else None
+        if reader:
+            reader.start()
+        try:
+            yield
+            fh.flush()
+        finally:
+            done.set()
+            if reader:
+                reader.join()
+        if not reader:
+            _feed(back, digest, done)
 
 
 @contextlib.contextmanager

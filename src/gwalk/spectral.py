@@ -377,7 +377,9 @@ class SpectrumGrid:
         cell = ax if resolution % 2 else ax[:resolution // 2]
         return cls(ax, ax.copy(), _grid_values(fn, cell, cell))
 
-    def to_csv(self, path) -> int:
-        """Write the grid as qX,qY,value rows, qY fastest; returns the row count."""
+    def to_csv(self, path, digest=None) -> int:
+        """Write the grid as qX,qY,value rows, qY fastest; returns the row count.
+        ``digest`` is ``csvio.write_csv``'s."""
         return csvio.write_csv(path, ["qX", "qY", "value"],
-                               csvio.grid_rows(self.values, axes=(self.qx, self.qy)))
+                               csvio.grid_rows(self.values, axes=(self.qx, self.qy)),
+                               digest)

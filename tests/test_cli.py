@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -321,12 +322,28 @@ class TestDeterminism:
         assert sha256_file(fa) == sha256_file(fb)
 
     def test_manifest_hashes_match_files(self, tmp_path):
-        cfg = parse_config(None, {"experiment": "rho-max", "resolution": 256,
-                                  "out_dir": str(tmp_path / "out")})
-        run(cfg)
-        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        for entry in manifest["outputs"]:
-            assert sha256_file(tmp_path / "out" / entry["path"]) == entry["sha256"]
+        # every experiment, and spectrum at an even resolution (its grid
+        # passes through the spill file) and an odd one
+        configs = [{"experiment": "rho-max", "resolution": 256},
+                   {"experiment": "spectrum", "resolution": 64},
+                   {"experiment": "spectrum", "resolution": 63},
+                   {"experiment": "unaffected-modes"},
+                   {"experiment": "interference", "lattice": [16, 16]},
+                   {"experiment": "deltam-sweep", "resolution": 16},
+                   {"experiment": "continuum-check", "lattice": [16, 16],
+                    "epsilons": [0.2, 0.1]},
+                   {"experiment": "evolve", "lattice": [16, 16], "steps": 4},
+                   {"experiment": "gw-angles", "steps": 4}]
+        assert {c["experiment"] for c in configs} == set(cli.EXPERIMENTS)
+        for i, config in enumerate(configs):
+            out = tmp_path / str(i)
+            assert run(parse_config(None, {**config, "out_dir": str(out)})) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+            assert sorted(e["path"] for e in manifest["outputs"]) == written
+            for entry in manifest["outputs"]:
+                data = (out / entry["path"]).read_bytes()
+                assert hashlib.sha256(data).hexdigest() == entry["sha256"]
 
 
 class TestMainExitCodes:
@@ -340,6 +357,18 @@ class TestMainExitCodes:
                      str(tmp_path / "missing.json")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("below", [False, True])
+    def test_out_naming_a_file_or_a_path_below_one_is_2_and_creates_nothing(
+            self, tmp_path, capsys, below):
+        path = tmp_path / "file"
+        path.write_text("kept\n")
+        out = path / "out" if below else path
+        assert main(["--experiment", "unaffected-modes", "--out", str(out)]) == 2
+        assert f"config error: out_dir {str(out)!r} cannot be made a directory" in (
+            capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_text() == "kept\n"
 
     def test_q_too_large_to_snap_is_2_naming_q(self, tmp_path, capsys):
         # q * L / (4 pi) overflows to inf, which has no admissible neighbour

@@ -1,7 +1,9 @@
+import hashlib
 import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -316,6 +318,109 @@ def test_failed_periodic_grid_write_leaves_only_the_earlier_file(tmp_path, monke
     assert len(calls) == 3
     assert list(tmp_path.iterdir()) == [path]
     assert path.read_bytes() == earlier
+
+
+@pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+def test_failed_hashed_grid_write_joins_its_reader_and_keeps_the_earlier_file(
+        tmp_path, monkeypatch, error):
+    # the reader follows the writer through the spill file's grid; the second
+    # kernel call fails, with an exception or an interrupt
+    path = tmp_path / "grid.csv"
+    write_csv(path, ["n", "x"], [(0, 0.5)])
+    earlier = path.read_bytes()
+    threads = threading.active_count()
+    during, format17 = [], csvio._format17
+
+    def failing(values, sep, out):
+        during.append(threading.active_count())
+        if len(during) == 2:
+            raise error("after the first block")
+        format17(values, sep, out)
+
+    monkeypatch.setattr(csvio, "_format17", failing)
+    cell = np.random.default_rng(4).standard_normal((128, 128))
+    with pytest.raises(error, match="after the first block"):
+        write_csv(path, ["x", "y", "v"], grid_rows(cell, axes=(range(256), range(256))),
+                  digest=hashlib.sha256())
+    assert during == [threads + 1] * 2
+    assert threading.active_count() == threads
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == earlier
+
+
+@st.composite
+def tables(draw):
+    """A header and a grid, its axes as long as its fields or doubled and
+    its sites possibly none, or 0-4 plain rows."""
+    if draw(st.booleans()):
+        return ["a", "b"], draw(st.lists(st.tuples(FLOATS, st.integers()), max_size=4))
+    shape = (draw(st.integers(0, 9)), draw(st.integers(0, 9)))
+    fields = [draw(hnp.arrays(np.float64, shape, elements=FLOATS))
+              for _ in range(draw(st.integers(1, 2)))]
+    axes = tuple(range(n * draw(st.sampled_from((1, 2)))) for n in shape)
+    return ["x", "y"] + [f"f{i}" for i in range(len(fields))], grid_rows(*fields, axes=axes)
+
+
+@given(tables(), st.integers(1, 1 << 12), st.integers(1, 64))
+def test_digest_is_the_sha256_of_the_written_bytes(tmp_path_factory, table, read, block):
+    # small reads and blocks: the reader takes many reads, often before the
+    # writer is done
+    header, rows = table
+    path = tmp_path_factory.mktemp("hashed") / "table.csv"
+    threads, digest = threading.active_count(), hashlib.sha256()
+    with mock.patch.object(csvio, "_READ", read), mock.patch.object(csvio, "_BLOCK", block):
+        count = write_csv(path, header, rows, digest=digest)
+    assert threading.active_count() == threads
+    assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert count == len(path.read_bytes().splitlines()) - 1
+
+
+def test_concurrent_hashed_grid_writes_under_fast_thread_switches(tmp_path):
+    # more writers than cores, each with its reader, switching threads every
+    # 10 µs: each digest is still its own file's
+    def write(i, results):
+        cell = np.random.default_rng(10 + i).standard_normal((64, 64))
+        digest, path = hashlib.sha256(), tmp_path / f"grid{i}.csv"
+        write_csv(path, ["x", "y", "v"], grid_rows(cell, axes=(range(128), range(128))),
+                  digest=digest)
+        results[i] = digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    threads, results = threading.active_count(), {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with mock.patch.object(csvio, "_BLOCK", 64), mock.patch.object(csvio, "_READ", 4096):
+            writers = [threading.Thread(target=write, args=(i, results)) for i in range(4)]
+            for w in writers:
+                w.start()
+            for w in writers:
+                w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in writers)
+    assert results == {i: True for i in range(4)}
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("axes, readers", [(None, 0), ((range(64), range(128)), 0),
+                                           ((range(128), range(64)), 1)])
+def test_only_a_spilling_grid_write_hashes_on_a_reader_thread(tmp_path, monkeypatch,
+                                                               axes, readers):
+    threads = threading.active_count()
+    during = []
+
+    def counting(values, sep, out):
+        during.append(threading.active_count() - threads)
+        format17(values, sep, out)
+
+    format17 = csvio._format17
+    monkeypatch.setattr(csvio, "_format17", counting)
+    cell = np.random.default_rng(5).standard_normal((64, 64))
+    digest, path = hashlib.sha256(), tmp_path / "grid.csv"
+    write_csv(path, ["x", "y", "v"], grid_rows(cell, axes=axes), digest=digest)
+    assert set(during) == {readers}
+    assert threading.active_count() == threads
+    assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("axes, opens", [(None, 0), ((range(64), range(128)), 0),
