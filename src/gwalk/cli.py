@@ -161,6 +161,21 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
         for j in range(inputs["steps"] + 2):
             geometry.gw_angles(gw, j * params.epsilon)
 
+    # continuum-check fits its order to >= 2 epsilons, on a square lattice
+    # that holds one physical wavelength at each of them
+    if inputs["experiment"] == "continuum-check":
+        eps, lattice = inputs["epsilons"], inputs["lattice"]
+        if len(set(eps)) < 2:
+            raise ConfigurationError(
+                f"epsilons must hold >= 2 distinct values to fit the order, got {list(eps)}")
+        if any(abs(round(e / min(eps)) - e / min(eps)) > 1e-9 for e in eps):
+            raise ConfigurationError(
+                "epsilons must be integer multiples of the smallest one "
+                "so a fixed physical wavelength stays on the lattice")
+        if lattice[0] != lattice[1]:
+            raise ConfigurationError(
+                f"lattice must be square for continuum-check, got {list(lattice)}")
+
     carried = {f.name: inputs[f.name] for f in fields(RunConfig) if f.name in inputs}
     return RunConfig(**{**carried, "params": params, "gw": gw,
                         "out_dir": Path(inputs["out_dir"]), "resolved": inputs})
@@ -250,7 +265,6 @@ def _continuum_case(case: str, cfg: RunConfig):
 def _run_continuum_check(cfg: RunConfig, out: Path, artifacts: list, metrics: dict):
     length = cfg.lattice[0]
     eps_list = sorted(cfg.epsilons, reverse=True)
-    eps_min = eps_list[-1]
     pol = np.array([0.6 + 0.2j, -0.3 + 0.7j])
     pol /= np.linalg.norm(pol)
     for case in ("flat", "shear", "massive"):
@@ -258,11 +272,7 @@ def _run_continuum_check(cfg: RunConfig, out: Path, artifacts: list, metrics: di
         rows = []
         bandlimit = 0.0
         for eps in eps_list:
-            n = round(eps / eps_min) if scale_mode else 0
-            if scale_mode and abs(n - eps / eps_min) > 1e-9:
-                raise ConfigurationError(
-                    "epsilons must be integer multiples of the smallest one "
-                    "so a fixed physical wavelength stays on the lattice")
+            n = round(eps / eps_list[-1]) if scale_mode else 0
             k = 2 * np.pi * n / length
             f = walk.SpinorField.plane_wave((length, length), k, k, pol)
             params = walk.WalkParams(epsilon=eps, mass=mass, xi=cfg.params.xi)

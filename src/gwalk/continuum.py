@@ -59,13 +59,16 @@ def j_tensor(rep: GammaRep, b: int, c: int, d: int) -> np.ndarray:
 # Hamiltonian pieces
 # ---------------------------------------------------------------------------
 
+def _b_apply(ca, cb, v) -> np.ndarray:
+    """B v for B = [[-ca, -i cb], [i cb, ca]], the coefficient matrix of one
+    derivative term, on the two components v[0], v[1]."""
+    return np.stack((-ca * v[0] - 1j * cb * v[1], 1j * cb * v[0] + ca * v[1]))
+
+
 def b_matrices(t11: float, t12: float, t21: float, t22: float):
     """The two Hermitian coefficient matrices of the derivative terms."""
-    c11, c12 = np.cos(t11), np.cos(t12)
-    c21, c22 = np.cos(t21), np.cos(t22)
-    b1 = np.array([[-c11, -1j * c12], [1j * c12, c11]])
-    b2 = np.array([[-c21, -1j * c22], [1j * c22, c21]])
-    return b1, b2
+    return (_b_apply(np.cos(t11), np.cos(t12), np.eye(2)),
+            _b_apply(np.cos(t21), np.cos(t22), np.eye(2)))
 
 
 @dataclass
@@ -104,13 +107,12 @@ def hamiltonian_from_provider(provider: AngleProvider, j: int,
                                    params.epsilon)
 
 
-def _spectral_derivative(comp: np.ndarray, axis: int, epsilon: float) -> np.ndarray:
-    n = comp.shape[axis]
+def _spectral_derivative(values: np.ndarray, axis: int, epsilon: float) -> np.ndarray:
+    """d/dX (axis -2) or d/dY (axis -1) of every leading slice at once."""
+    n = values.shape[axis]
     k = 2.0 * np.pi * np.fft.fftfreq(n)
-    shape = [1, 1]
-    shape[axis] = n
-    mult = 1j * k.reshape(shape) * (2.0 / epsilon)   # d/dX = (2/eps) d/dp
-    return np.fft.ifft(mult * np.fft.fft(comp, axis=axis), axis=axis)
+    mult = 1j * k.reshape((n,) + (1,) * (-1 - axis)) * (2.0 / epsilon)  # d/dX = (2/eps) d/dp
+    return np.fft.ifft(mult * np.fft.fft(values, axis=axis), axis=axis)
 
 
 def _derive(value, axis: int, epsilon: float):
@@ -121,43 +123,34 @@ def _derive(value, axis: int, epsilon: float):
 
 def hamiltonian_apply(field: SpinorField, h: HamiltonianField) -> SpinorField:
     """H Psi with spectral spatial derivatives on the periodic lattice."""
-    eps = h.epsilon
-    d0_x = _spectral_derivative(field.data[0], 0, eps)
-    d1_x = _spectral_derivative(field.data[1], 0, eps)
-    d0_y = _spectral_derivative(field.data[0], 1, eps)
-    d1_y = _spectral_derivative(field.data[1], 1, eps)
-
-    c11, c12, c21, c22 = h.cos11, h.cos12, h.cos21, h.cos22
+    eps, psi = h.epsilon, field.data
     # -i * B^k d_k Psi
-    out0 = -1j * (-c11 * d0_x - 1j * c12 * d1_x - c21 * d0_y - 1j * c22 * d1_y)
-    out1 = -1j * (1j * c12 * d0_x + c11 * d1_x + 1j * c22 * d0_y + c21 * d1_y)
-
-    # -(i/2) (d_k B^k) Psi, nonzero only for space-dependent angles
-    dx_c11 = _derive(c11, 0, eps)
-    dx_c12 = _derive(c12, 0, eps)
-    dy_c21 = _derive(c21, 1, eps)
-    dy_c22 = _derive(c22, 1, eps)
-    if np.ndim(dx_c11) or np.ndim(dx_c12) or np.ndim(dy_c21) or np.ndim(dy_c22):
-        f0, f1 = field.data[0], field.data[1]
-        out0 += -0.5j * ((-dx_c11 - dy_c21) * f0 + (-1j * dx_c12 - 1j * dy_c22) * f1)
-        out1 += -0.5j * ((1j * dx_c12 + 1j * dy_c22) * f0 + (dx_c11 + dy_c21) * f1)
-
+    out = -1j * (_b_apply(h.cos11, h.cos12, _spectral_derivative(psi, -2, eps))
+                 + _b_apply(h.cos21, h.cos22, _spectral_derivative(psi, -1, eps)))
+    # -(i/2) (d_k B^k) Psi, where d_k B^k = B(d_X c11 + d_Y c21, d_X c12 + d_Y c22);
+    # nonzero only for space-dependent angles
+    ca = _derive(h.cos11, -2, eps) + _derive(h.cos21, -1, eps)
+    cb = _derive(h.cos12, -2, eps) + _derive(h.cos22, -1, eps)
+    if np.ndim(ca) or np.ndim(cb):
+        out += -0.5j * _b_apply(ca, cb, psi)
     # (m - T0/4) gamma0 Psi
-    out0 = out0 + h.mass_like * field.data[1]
-    out1 = out1 + h.mass_like * field.data[0]
-    return SpinorField(np.stack((out0, out1)))
+    out += h.mass_like * psi[::-1]
+    return SpinorField(out)
 
 
 # ---------------------------------------------------------------------------
 # mass-like scalar in the continuum
 # ---------------------------------------------------------------------------
 
-def _dual_and_rate(series: Callable, t: float, h: float):
-    d_now = series(t)
-    if not isinstance(d_now, DualTriad):
+def _triad_and_rate(series: Callable, t: float, h: float):
+    """The triad at t, the block inverse of the dual, and the dual's centred
+    time derivative with step h."""
+    dual = series(t)
+    if not isinstance(dual, DualTriad):
         raise ConfigurationError("dual triad series must return DualTriad values")
-    rate = (series(t + h).d - series(t - h).d) / (2.0 * h)
-    return d_now, rate
+    triad = np.eye(3)
+    triad[1:, 1:] = np.linalg.inv(dual.spatial)
+    return triad, (series(t + h).d - series(t - h).d) / (2.0 * h)
 
 
 def t0(series: Callable, t: float, h: float = 1e-6) -> float:
@@ -166,10 +159,7 @@ def t0(series: Callable, t: float, h: float = 1e-6) -> float:
     Time derivatives use centered differences with step h; the triad is
     the block inverse of the dual.
     """
-    d_now, rate = _dual_and_rate(series, t, h)
-    triad = np.zeros((3, 3))
-    triad[0, 0] = 1.0
-    triad[1:, 1:] = np.linalg.inv(d_now.spatial)
+    triad, rate = _triad_and_rate(series, t, h)
     total = 0.0
     for (a, b, c), sign in _LEVI.items():
         if b != 0:
@@ -184,13 +174,8 @@ def t0_dual_form(series: Callable, t: float, h: float = 1e-6) -> float:
     The raised duals are eta-rescaled triad columns; agreement with
     :func:`t0` is an identity of the block frames.
     """
-    d_now, rate = _dual_and_rate(series, t, h)
-    triad = np.zeros((3, 3))
-    triad[0, 0] = 1.0
-    triad[1:, 1:] = np.linalg.inv(d_now.spatial)
-    e1_up = _ETA[1] * triad[:, 1]
-    e2_up = _ETA[2] * triad[:, 2]
-    return float(e1_up @ rate[2, :] - e2_up @ rate[1, :])
+    triad, rate = _triad_and_rate(series, t, h)
+    return float(_ETA[1] * triad[:, 1] @ rate[2, :] - _ETA[2] * triad[:, 2] @ rate[1, :])
 
 
 # ---------------------------------------------------------------------------

@@ -233,12 +233,11 @@ def _format17(values, sep: bytes, out) -> None:
 _BLOCK = 1024
 
 
-def _texts(values, sep: bytes, right: bool) -> np.ndarray:
+def _texts(values, sep: bytes) -> np.ndarray:
     """``b"%.17g" % v + sep`` of each axis value, NUL-padded to one width."""
     texts = [b"%.17g" % v + sep for v in values]
     width = max(map(len, texts), default=0)
-    pad = bytes.rjust if right else bytes.ljust
-    joined = b"".join(pad(t, width, b"\0") for t in texts)
+    joined = b"".join(t.ljust(width, b"\0") for t in texts)
     return np.frombuffer(joined, np.uint8).reshape(len(texts), width)
 
 
@@ -268,8 +267,7 @@ class Grid(namedtuple("Grid", "fields axes")):
         p1, p2 = cell
         # whole lines per write, about one kernel call's: more raise peak RSS
         chunk = max(1, _BLOCK // n2) * n2
-        xs = _texts(self.axes[0], b",", right=True)
-        ys = _texts(self.axes[1], b",", right=False)
+        xs, ys = (_texts(axis, b",") for axis in self.axes)
         seps = [b","] * (len(self.fields) - 1) + [b"\n"]
         rows = max(1, _BLOCK // p2)         # field rows per kernel call
         wx, wy = xs.shape[1], ys.shape[1]

@@ -138,21 +138,18 @@ def gw_angles(gw: GwParams, t: float) -> tuple[float, float, float, float]:
     th12 = th21 = pi/2 - xi G(t).  Nonnegative roots are taken so the
     compression angles stay near zero.
     """
+    finite(t, "t")
     f_val = gw.f_at(t)
-    v11 = -gw.xi * (f_val - gw.k)
-    v22 = gw.xi * (f_val + gw.k_prime)
-    # forgive pure roundoff below zero
-    v11, v22 = (0.0 if -_BORDER_TOL <= v < 0.0 else v for v in (v11, v22))
-    if v11 < 0.0:
-        raise SignConditionError(
-            f"-xi*(F(T) - K) = {v11:.6g} < 0 at T = {t:g}: increase K so the "
-            f"compression angle stays real")
-    if v22 < 0.0:
-        raise SignConditionError(
-            f"xi*(F(T) + K') = {v22:.6g} < 0 at T = {t:g}: increase K' so the "
-            f"compression angle stays real")
+    roots = []
+    for v, name, key in ((-gw.xi * (f_val - gw.k), "-xi*(F(T) - K)", "K"),
+                         (gw.xi * (f_val + gw.k_prime), "xi*(F(T) + K')", "K'")):
+        if not v >= -_BORDER_TOL:   # a NaN fails too
+            raise SignConditionError(
+                f"{name} = {v:.6g} < 0 at T = {t:g}: increase {key} so the "
+                f"compression angle stays real")
+        roots.append(float(np.sqrt(max(v, 0.0))))   # forgive pure roundoff below zero
     shear = np.pi / 2 - gw.xi * gw.g_at(t)
-    return float(np.sqrt(v11)), float(shear), float(shear), float(np.sqrt(v22))
+    return roots[0], float(shear), float(shear), roots[1]
 
 
 def gw_metric_reference(gw: GwParams, t: float) -> Metric3:

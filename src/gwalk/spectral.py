@@ -30,16 +30,18 @@ class ModePoint(NamedTuple):
 # mode operators
 # ---------------------------------------------------------------------------
 
+def _mode_matrix(qx, a, b) -> np.ndarray:
+    """[[e a, -conj(e) b], [e conj(b), conj(e) conj(a)]] with e = exp(i qX), shape
+    (..., 2, 2): the layout both one-mode operators share."""
+    e = np.exp(1j * qx)
+    return np.stack((e * a, -np.conj(e) * b, e * np.conj(b), np.conj(e) * np.conj(a)),
+                    axis=-1).reshape(qx.shape + (2, 2))
+
+
 def mode_w0(qx, qy) -> np.ndarray:
     """Unperturbed one-mode operator; shape (..., 2, 2) under broadcasting."""
     qx, qy = np.broadcast_arrays(np.asarray(qx, float), np.asarray(qy, float))
-    ex, cy, sy = np.exp(1j * qx), np.cos(qy), np.sin(qy)
-    out = np.empty(qx.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = ex * cy
-    out[..., 0, 1] = -np.conj(ex) * sy
-    out[..., 1, 0] = ex * sy
-    out[..., 1, 1] = np.conj(ex) * cy
-    return out
+    return _mode_matrix(qx, np.cos(qy), np.sin(qy))
 
 
 def _amplitude_parts(qx, qy) -> tuple:
@@ -62,15 +64,8 @@ def mode_w1(qx, qy) -> np.ndarray:
     qx, qy = np.broadcast_arrays(np.asarray(qx, float), np.asarray(qy, float))
     a_re, a_im, b_re, b_im = _amplitude_parts(qx, qy)
     # Abar, Bbar times exp(+-i pi/4) / sqrt(2) = (1 +- i) / 2
-    a = (0.5 + 0.5j) * (a_re + 1j * a_im)
-    b = (0.5 - 0.5j) * (b_re + 1j * b_im)
-    ex = np.exp(1j * qx)
-    out = np.empty(qx.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = ex * a
-    out[..., 0, 1] = -np.conj(ex) * b
-    out[..., 1, 0] = ex * np.conj(b)
-    out[..., 1, 1] = np.conj(ex) * np.conj(a)
-    return out
+    return _mode_matrix(qx, (0.5 + 0.5j) * (a_re + 1j * a_im),
+                        (0.5 - 0.5j) * (b_re + 1j * b_im))
 
 
 def rho(qx, qy):

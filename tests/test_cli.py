@@ -552,6 +552,42 @@ class TestMainExitCodes:
         assert "epsilons must be a list of >= 1 numbers" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case, message", [
+        ({"epsilons": [0.1]}, "epsilons must hold >= 2 distinct values"),
+        ({"epsilons": [0.1, 0.1]}, "epsilons must hold >= 2 distinct values"),
+        ({"epsilons": [0.2, 0.15, 0.1]}, "epsilons must be integer multiples"),
+        ({"epsilons": [0.1, 0.3, 0.25]}, "epsilons must be integer multiples"),
+        ({"lattice": [64, 32]}, "lattice must be square"),
+        ({"lattice": [32, 64]}, "lattice must be square")],
+        ids=["one-epsilon", "one-distinct-epsilon", "not-multiples",
+             "not-multiples-unsorted", "wide-lattice", "tall-lattice"])
+    def test_continuum_check_it_cannot_honour_is_2_before_any_step(
+            self, tmp_path, capsys, monkeypatch, case, message):
+        steps = []
+        monkeypatch.setattr(cli.continuum, "step", lambda *a: steps.append(a))
+        payload = {"experiment": "continuum-check", "lattice": [16, 16],
+                   "epsilons": [0.2, 0.1], **case, "out_dir": str(tmp_path / "out")}
+        assert main(["--config", write_config(tmp_path, payload)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert steps == []
+        assert not (tmp_path / "out").exists()
+
+    def test_config_root_that_is_not_an_object_is_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('[{"experiment": "spectrum"}]')
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out)]) == 2
+        assert "config error: config root must be a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_q_that_snaps_to_a_non_positive_value_is_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--experiment", "interference", "--q", "0.01", "--out", str(out)]) == 2
+        assert ("config error: q = 0.01 snaps to a non-positive admissible value"
+                in capsys.readouterr().err)
+        assert list(out.iterdir()) == []
+
     def test_failed_manifest_write_leaves_no_manifest(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
         assert main(["--experiment", "unaffected-modes", "--out", str(out)]) == 0

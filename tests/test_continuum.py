@@ -15,6 +15,8 @@ from gwalk.geometry import dual_triad, triad_from_angles
 from gwalk.walk import (SpinorField, WalkParams, flat_angles, pure_shear_angles,
                         uniform_time_angles)
 
+from oracles import hamiltonian_entries
+
 ETA = np.diag([1.0, -1.0, -1.0])
 FLAT = (0.0, math.pi / 2, math.pi / 2, 0.0)
 
@@ -193,6 +195,42 @@ class TestHamiltonianApply:
         lhs = np.vdot(phi.data, hamiltonian_apply(psi, h).data)
         rhs = np.vdot(hamiltonian_apply(phi, h).data, psi.data)
         assert abs(lhs - rhs) < 1e-10
+
+
+    @staticmethod
+    def _smooth_angles(length):
+        p = np.arange(length)
+        px, py = np.meshgrid(p, p, indexing="ij")
+        return (0.3 + 0.05 * np.sin(2 * np.pi * px / length),
+                1.1 + 0.05 * np.cos(2 * np.pi * py / length),
+                0.9 + 0.05 * np.sin(2 * np.pi * (2 * px + py) / length),
+                0.5 + 0.07 * np.cos(2 * np.pi * (px - 2 * py) / length))
+
+    @pytest.mark.parametrize("eps", [1.0, 0.3])
+    def test_matches_each_entry_written_out(self, eps):
+        # every B^k entry and both divergence terms, on angles that vary
+        # along both axes, against the formula spelled out entry by entry
+        rng = np.random.default_rng(25)
+        length = 16
+        cosines = [np.cos(t) for t in self._smooth_angles(length)]
+        mass_like = 0.25 + 0.1 * rng.standard_normal((length, length))
+        f = SpinorField.random((length, length), rng)
+        out = hamiltonian_apply(f, HamiltonianField(*cosines, mass_like, eps))
+        expected = hamiltonian_entries(f.data, *cosines, mass_like, eps)
+        np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12 / eps)
+
+    def test_uniform_angles_take_one_transform_pair_per_axis(self, monkeypatch):
+        calls = []
+        for name in ("fft", "ifft"):
+            original = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name, lambda *a, _f=original, _n=name, **k:
+                                calls.append(_n) or _f(*a, **k))
+        f = SpinorField.random((8, 8), np.random.default_rng(0))
+        out = hamiltonian_apply(f, hamiltonian_from_angles(0.2, 1.1, 0.9, 0.4, mass=0.3))
+        assert sorted(calls) == ["fft", "fft", "ifft", "ifft"]
+        monkeypatch.undo()
+        expected = hamiltonian_entries(f.data, *np.cos((0.2, 1.1, 0.9, 0.4)), 0.3, 1.0)
+        np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
 
 
 class TestContinuumResidual:

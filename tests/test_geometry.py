@@ -131,6 +131,42 @@ class TestGwAngles:
         with pytest.raises(SignConditionError, match="K'"):
             gw_angles(gw2, 0.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, "0"])
+    def test_time_that_is_not_a_finite_number_is_rejected(self, t):
+        gw = GwParams(xi=1e-3, f=math.sin, k=2, k_prime=2)
+        with pytest.raises(ConfigurationError, match="t must be a finite number"):
+            gw_angles(gw, t)
+
+    @pytest.mark.parametrize("f, key", [(lambda t: math.nan, "K"),
+                                        (lambda t: math.inf, "K"),
+                                        (lambda t: -math.inf, "K'")],
+                             ids=["nan", "inf", "-inf"])
+    def test_radicand_that_is_not_nonnegative_fails_the_sign_condition(self, f, key):
+        # nan fails both conditions and names the first; an infinite F makes
+        # one radicand -inf
+        gw = GwParams(xi=1e-3, f=f, k=2, k_prime=2)
+        with pytest.raises(SignConditionError, match=f"increase {key} so"):
+            gw_angles(gw, 0.0)
+
+    def test_nan_from_zero_times_inf_fails_the_sign_condition(self):
+        # xi = 0 against an infinite waveform gives 0 * inf = nan radicands
+        gw = GwParams(xi=0.0, f=lambda t: math.inf)
+        with pytest.raises(SignConditionError, match=r"-xi\*\(F\(T\) - K\) = nan"):
+            gw_angles(gw, 1.0)
+
+    def test_overflowing_radicand_stays_infinite(self):
+        # K - F overflows to +inf: a real root, infinite; the CLI exits 3 on it
+        gw = GwParams(xi=0.03, f=-1e308, k=1e308, k_prime=1e308)
+        assert gw_angles(gw, 0.0)[0] == math.inf
+
+    def test_roundoff_below_zero_is_forgiven_and_signed_zero_kept(self):
+        gw = GwParams(xi=1.0, f=1e-13, k=0.0, k_prime=-6e-13)
+        t11, _, _, t22 = gw_angles(gw, 0.0)
+        assert (t11, t22) == (0.0, 0.0)
+        # -xi * (F - K) is -0.0 at F = K, and its root keeps the sign
+        t11 = gw_angles(GwParams(xi=1e-3), 0.0)[0]
+        assert math.copysign(1.0, t11) == -1.0
+
 
 class TestGwMetricReference:
     def test_zero_amplitude(self):

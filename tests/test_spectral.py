@@ -16,7 +16,7 @@ from gwalk.spectral import (SpectrumGrid, eigen, find_rho_maxima,
                             perturbative_eigs, rho, transfer_matrix, unaffected_modes)
 from gwalk.walk import SpinorField
 
-from oracles import broadcast_grid
+from oracles import broadcast_grid, mode_w0_entries, mode_w1_entries
 
 TWO_PI = 2 * math.pi
 
@@ -214,6 +214,19 @@ class TestModeOperators:
         qx = np.zeros((3, 4))
         assert mode_w0(qx, qx).shape == (3, 4, 2, 2)
         assert mode_w1(qx, qx).shape == (3, 4, 2, 2)
+
+    @pytest.mark.parametrize("fn, oracle", [(mode_w0, mode_w0_entries),
+                                            (mode_w1, mode_w1_entries)],
+                             ids=["w0", "w1"])
+    def test_shared_layout_keeps_the_bits_of_each_entry(self, fn, oracle):
+        # on a random grid, on broadcast axes and at one point
+        rng = np.random.default_rng(25)
+        qx, qy = rng.uniform(-TWO_PI, TWO_PI, (2, 50, 40))
+        ax, ay = rng.uniform(-TWO_PI, TWO_PI, 50), rng.uniform(-TWO_PI, TWO_PI, 40)
+        for args in ((qx, qy), (ax[:, None], ay[None, :]), (0.3, -1.7)):
+            got, expected = fn(*args), oracle(*args)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestRho:

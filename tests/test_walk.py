@@ -713,6 +713,19 @@ class TestFourierEvolve:
             tracemalloc.stop()
         assert peak <= 1.5 * f.data.nbytes
 
+    def test_uniform_evolve_buffers_start_at_fixed_page_offsets(self, monkeypatch):
+        # the heap would place them after whatever was allocated before, and
+        # the blocked loop's speed moves with their offsets
+        placed, paged = [], walk._paged
+        monkeypatch.setattr(walk, "_paged", lambda shape, offset: (
+            placed.append((tuple(shape), offset)) or paged(shape, offset)))
+        rng = np.random.default_rng(28)
+        f = SpinorField.random((64, 32), rng)
+        out = evolve(f, 0, 2, random_history_provider(rng, times=4), WalkParams())
+        rows = walk._CHUNK // (2 * 32)
+        assert placed == [((2, 64, 32), 2048), ((2, rows, 32), 1024), ((rows, 32), 0)]
+        assert out.data.ctypes.data % 4096 == 2048
+
     def test_per_site_evolve_matches_repeated_step(self):
         rng = np.random.default_rng(26)
         provider = random_history_provider(rng, times=5, shape=(6, 8))
