@@ -7,52 +7,18 @@ The walk step expands as V_j = 1 - i*eps*H + O(eps^2) where
 with B^k built from the cosine fields and spatial derivatives taken along
 X = p1*eps/2, Y = p2*eps/2.  Spatial derivatives are spectral so that the
 residual of the expansion isolates the walk's own discretization error.
+The gamma algebra and the continuum forms of T0 are the tests' oracles
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import _ETA, _LEVI, DualTriad
 from .walk import KL_PAIRS, AngleProvider, SpinorField, WalkParams, step, t_epsilon_field
-
-GAMMA0 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-GAMMA1 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-GAMMA2 = np.array([[1j, 0.0], [0.0, -1j]], dtype=complex)
-
-
-@dataclass(frozen=True)
-class GammaRep:
-    g0: np.ndarray
-    g1: np.ndarray
-    g2: np.ndarray
-
-    def raised(self, a: int) -> np.ndarray:
-        return (self.g0, self.g1, self.g2)[a]
-
-    def lowered(self, a: int) -> np.ndarray:
-        return _ETA[a] * self.raised(a)
-
-
-def gamma_rep() -> GammaRep:
-    return GammaRep(GAMMA0.copy(), GAMMA1.copy(), GAMMA2.copy())
-
-
-def spin_generator(rep: GammaRep, c: int, d: int) -> np.ndarray:
-    """S_cd = (i/2) [gamma_c, gamma_d] with lowered indices."""
-    gc, gd = rep.lowered(c), rep.lowered(d)
-    return 0.5j * (gc @ gd - gd @ gc)
-
-
-def j_tensor(rep: GammaRep, b: int, c: int, d: int) -> np.ndarray:
-    """J_bcd = {gamma_b, S_cd}; antisymmetric in (c,d) and in (b,c)."""
-    gb = rep.lowered(b)
-    s = spin_generator(rep, c, d)
-    return gb @ s + s @ gb
 
 
 # ---------------------------------------------------------------------------
@@ -63,12 +29,6 @@ def _b_apply(ca, cb, v) -> np.ndarray:
     """B v for B = [[-ca, -i cb], [i cb, ca]], the coefficient matrix of one
     derivative term, on the two components v[0], v[1]."""
     return np.stack((-ca * v[0] - 1j * cb * v[1], 1j * cb * v[0] + ca * v[1]))
-
-
-def b_matrices(t11: float, t12: float, t21: float, t22: float):
-    """The two Hermitian coefficient matrices of the derivative terms."""
-    return (_b_apply(np.cos(t11), np.cos(t12), np.eye(2)),
-            _b_apply(np.cos(t21), np.cos(t22), np.eye(2)))
 
 
 @dataclass
@@ -136,46 +96,6 @@ def hamiltonian_apply(field: SpinorField, h: HamiltonianField) -> SpinorField:
     # (m - T0/4) gamma0 Psi
     out += h.mass_like * psi[::-1]
     return SpinorField(out)
-
-
-# ---------------------------------------------------------------------------
-# mass-like scalar in the continuum
-# ---------------------------------------------------------------------------
-
-def _triad_and_rate(series: Callable, t: float, h: float):
-    """The triad at t, the block inverse of the dual, and the dual's centred
-    time derivative with step h."""
-    dual = series(t)
-    if not isinstance(dual, DualTriad):
-        raise ConfigurationError("dual triad series must return DualTriad values")
-    triad = np.eye(3)
-    triad[1:, 1:] = np.linalg.inv(dual.spatial)
-    return triad, (series(t + h).d - series(t - h).d) / (2.0 * h)
-
-
-def t0(series: Callable, t: float, h: float = 1e-6) -> float:
-    """Continuum mass-like scalar from a time series of dual triads.
-
-    Time derivatives use centered differences with step h; the triad is
-    the block inverse of the dual.
-    """
-    triad, rate = _triad_and_rate(series, t, h)
-    total = 0.0
-    for (a, b, c), sign in _LEVI.items():
-        if b != 0:
-            continue   # only the time derivative survives the block structure
-        total -= sign * _ETA[c] * float(triad[:, a] @ rate[c, :])
-    return total
-
-
-def t0_dual_form(series: Callable, t: float, h: float = 1e-6) -> float:
-    """Equivalent contraction e^(1)nu d0 e^(2)_nu - e^(2)nu d0 e^(1)_nu.
-
-    The raised duals are eta-rescaled triad columns; agreement with
-    :func:`t0` is an identity of the block frames.
-    """
-    triad, rate = _triad_and_rate(series, t, h)
-    return float(_ETA[1] * triad[:, 1] @ rate[2, :] - _ETA[2] * triad[:, 2] @ rate[1, :])
 
 
 # ---------------------------------------------------------------------------

@@ -3,20 +3,22 @@
 With space-uniform angles every lattice mode evolves under a 2x2 unitary
 W(xi, g; qX, qY) where q = 2k because of the double jumps; the zone for q
 is [-2pi, 2pi) per axis.  At first order W = W0 + xi*g*W1, and the size
-of W1's eigenvalues maps out where the shear wave acts.
+of W1's eigenvalues, rho / sqrt(2), maps out where the shear wave acts.
+W is :func:`gwalk.walk.plane_wave_transfer_matrix`; W0, W1 and the
+large-scale expansion are written out as the tests' oracles
+(``tests/oracles.py``).  This module holds what the runs compute: rho, its
+maxima and zeros, and sampled grids of it.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import csvio
-from .errors import ConfigurationError, ConsistencyError, finite, integer
-from .walk import WalkParams, plane_wave_transfer_matrix, pure_shear_angles
+from .errors import ConsistencyError, finite, integer
 
 TWO_PI = 2.0 * np.pi
 
@@ -27,22 +29,8 @@ class ModePoint(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# mode operators
+# first-order amplitudes
 # ---------------------------------------------------------------------------
-
-def _mode_matrix(qx, a, b) -> np.ndarray:
-    """[[e a, -conj(e) b], [e conj(b), conj(e) conj(a)]] with e = exp(i qX), shape
-    (..., 2, 2): the layout both one-mode operators share."""
-    e = np.exp(1j * qx)
-    return np.stack((e * a, -np.conj(e) * b, e * np.conj(b), np.conj(e) * np.conj(a)),
-                    axis=-1).reshape(qx.shape + (2, 2))
-
-
-def mode_w0(qx, qy) -> np.ndarray:
-    """Unperturbed one-mode operator; shape (..., 2, 2) under broadcasting."""
-    qx, qy = np.broadcast_arrays(np.asarray(qx, float), np.asarray(qy, float))
-    return _mode_matrix(qx, np.cos(qy), np.sin(qy))
-
 
 def _amplitude_parts(qx, qy) -> tuple:
     """Real and imaginary parts of Abar and Bbar, in that order; cos and sin
@@ -59,129 +47,14 @@ def _amplitude_parts(qx, qy) -> tuple:
     return a_re, a_im, b_re, b_im
 
 
-def mode_w1(qx, qy) -> np.ndarray:
-    """First-order (in xi*g) mode operator, from the closed-form amplitudes."""
-    qx, qy = np.broadcast_arrays(np.asarray(qx, float), np.asarray(qy, float))
-    a_re, a_im, b_re, b_im = _amplitude_parts(qx, qy)
-    # Abar, Bbar times exp(+-i pi/4) / sqrt(2) = (1 +- i) / 2
-    return _mode_matrix(qx, (0.5 + 0.5j) * (a_re + 1j * a_im),
-                        (0.5 - 0.5j) * (b_re + 1j * b_im))
-
-
 def rho(qx, qy):
     """Shear-coupling strength sqrt(|Abar|^2 + |Bbar|^2).
 
-    Uses the unscaled amplitude pair; the eigenvalue modulus of
-    :func:`mode_w1` is rho / sqrt(2).
+    Uses the unscaled amplitude pair; the eigenvalues of the first-order
+    one-mode operator W1 have modulus rho / sqrt(2).
     """
     a_re, a_im, b_re, b_im = _amplitude_parts(qx, qy)
     return np.sqrt(a_re ** 2 + a_im ** 2 + b_re ** 2 + b_im ** 2)
-
-
-@dataclass(frozen=True)
-class ModeOperator:
-    """One-mode operator pieces with the perturbation metadata (xi, g)."""
-
-    w0: np.ndarray
-    w1: np.ndarray
-    xi: float
-    g: float
-    qx: float
-    qy: float
-
-    def first_order(self) -> np.ndarray:
-        return self.w0 + self.xi * self.g * self.w1
-
-    def exact(self, mass: float = 0.0, epsilon: float = 1.0) -> np.ndarray:
-        """Exact plane-wave transfer matrix of the shear-wave lattice step."""
-        return transfer_matrix(self.xi, self.g, self.qx, self.qy,
-                               mass=mass, epsilon=epsilon)
-
-
-def mode_operator(xi: float, g: float, qx: float, qy: float) -> ModeOperator:
-    return ModeOperator(mode_w0(qx, qy), mode_w1(qx, qy),
-                        float(xi), float(g), float(qx), float(qy))
-
-
-def transfer_matrix(xi: float, g: float, qx: float, qy: float,
-                    mass: float = 0.0, epsilon: float = 1.0) -> np.ndarray:
-    """Exact one-mode matrix of the shear-wave step at wavenumber q = 2k."""
-    provider = pure_shear_angles(xi, g, epsilon=epsilon)
-    params = WalkParams(epsilon=epsilon, mass=mass, xi=xi)
-    return plane_wave_transfer_matrix(provider, 0, qx / 2.0, qy / 2.0, params)
-
-
-# ---------------------------------------------------------------------------
-# eigenstructure
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EigenPair:
-    eigenvalue: complex
-    eigenvector: np.ndarray
-    energy: float
-
-
-def _energy(lam: complex) -> float:
-    e = -float(np.angle(lam))
-    if e <= -np.pi:
-        e += TWO_PI
-    return e
-
-
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    v = v / np.linalg.norm(v)
-    for comp in v:
-        if abs(comp) > 1e-14:
-            v = v * np.exp(-1j * np.angle(comp))
-            break
-    return v
-
-
-def eigen(mat: np.ndarray) -> tuple[EigenPair, ...]:
-    """Closed-form eigendecomposition of a 2x2 complex matrix.
-
-    Pairs are sorted by ascending energy (-arg of the eigenvalue, mapped
-    into (-pi, pi]); each eigenvector is normalized with its first nonzero
-    component made real positive.  A defective matrix yields a single pair
-    and a warning.
-    """
-    mat = np.asarray(mat, dtype=complex)
-    a, b, c, d = mat[0, 0], mat[0, 1], mat[1, 0], mat[1, 1]
-    tr, det = a + d, a * d - b * c
-    disc = np.sqrt(complex(tr * tr - 4.0 * det))
-    lams = ((tr + disc) / 2.0, (tr - disc) / 2.0)
-    scale = max(1.0, abs(lams[0]), abs(lams[1]))
-
-    if abs(lams[0] - lams[1]) < 1e-12 * scale:
-        lam = tr / 2.0
-        if max(abs(b), abs(c), abs(a - lam), abs(d - lam)) < 1e-12 * scale:
-            # scalar matrix: any orthonormal basis diagonalizes it
-            pairs = (EigenPair(lam, np.array([1.0 + 0j, 0.0]), _energy(lam)),
-                     EigenPair(lam, np.array([0.0, 1.0 + 0j]), _energy(lam)))
-            return pairs
-        warnings.warn("defective 2x2 matrix: repeated eigenvalue, single "
-                      "eigenvector returned", stacklevel=2)
-        vec = _eigvec(a, b, c, d, lam)
-        return (EigenPair(lam, vec, _energy(lam)),)
-
-    pairs = [EigenPair(lam, _eigvec(a, b, c, d, lam), _energy(lam))
-             for lam in lams]
-    pairs.sort(key=lambda p: (p.energy,
-                              tuple(np.round([p.eigenvector[0].real,
-                                              p.eigenvector[0].imag,
-                                              p.eigenvector[1].real,
-                                              p.eigenvector[1].imag], 12))))
-    return tuple(pairs)
-
-
-def _eigvec(a, b, c, d, lam) -> np.ndarray:
-    v1 = np.array([b, lam - a])
-    v2 = np.array([lam - d, c])
-    v = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
-    if np.linalg.norm(v) < 1e-14 * max(1.0, abs(lam)):
-        v = np.array([1.0 + 0j, 0.0])
-    return _fix_phase(v)
 
 
 # ---------------------------------------------------------------------------
@@ -290,57 +163,6 @@ def unaffected_modes(tolerance: float = 1e-6) -> list[ModePoint]:
     keep = rho(qx, qy) < tolerance
     return sorted(ModePoint(float(x), float(y))
                   for x, y in zip(qx[keep], qy[keep]))
-
-
-# ---------------------------------------------------------------------------
-# large-scale expansion
-# ---------------------------------------------------------------------------
-
-def large_scale_operator(xi: float, g: float, qx: float, qy: float) -> np.ndarray:
-    """First order in q of the one-mode operator, valid for |q| << 1."""
-    xg = xi * g
-    alpha = qx + xg * qy
-    beta = qy + xg * qx
-    return np.array([[1.0 + 1j * alpha, -beta],
-                     [beta, 1.0 - 1j * alpha]])
-
-
-@dataclass(frozen=True)
-class PerturbativeEigs:
-    """First-order eigenstructure of the large-scale operator (qX > 0 branch)."""
-
-    lambda_plus: complex
-    lambda_minus: complex
-    energy_plus: float
-    energy_minus: float
-    v0_plus: np.ndarray
-    v1_plus: np.ndarray
-
-
-def perturbative_eigs(xi: float, g: float, qx: float, qy: float) -> PerturbativeEigs:
-    """Closed-form eigenvalues, energies and the + eigenvector pieces.
-
-    The energies pick up the anisotropic factor (1 + 2 xi g qX qY / |q|^2).
-    The eigenvector pieces are normalized with second component 1; the
-    first-order piece is the derivative of the exact eigenvector in xi*g,
-    so the eigen-equation residual is quadratic in the perturbation.  Only
-    the qX > 0 branch has this closed form; diagonalize
-    :func:`large_scale_operator` numerically for qX <= 0.
-    """
-    aq = float(np.hypot(qx, qy))
-    if aq == 0.0:
-        raise ConfigurationError("|q| = 0: mode direction undefined")
-    if qx <= 0.0:
-        raise ConfigurationError(
-            "closed-form eigenvectors cover only qX > 0; use eigen() on "
-            "large_scale_operator for the other branch")
-    factor = (1.0 + 2.0 * xi * g * qx * qy / aq ** 2) * aq
-    lam_p = 1.0 - 1j * factor
-    lam_m = 1.0 + 1j * factor
-    v0 = np.array([-1j * qy / (qx + aq), 1.0])
-    bracket = qx - qy ** 2 * (1.0 + 2.0 * qx / aq) / (qx + aq)
-    v1 = np.array([-1j * bracket / (qx + aq), 0.0])
-    return PerturbativeEigs(lam_p, lam_m, factor, -factor, v0, v1)
 
 
 # ---------------------------------------------------------------------------

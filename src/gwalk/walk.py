@@ -8,7 +8,7 @@ lattice.  One time step applies, right to left,
 where W_k(th) = R^-1(th) U(th) S_k U(th) S_k R(th) is a pair of
 spin-dependent double jumps S_k dressed by local coin rotations, and T is
 the time-difference scalar built from the four cosine fields (see
-:func:`t_epsilon`).  The chain is written once, as a gate list that
+:func:`t_epsilon_field`).  The chain is written once, as a gate list that
 :func:`step` applies in real space.  Where two W blocks meet, U(th), then
 R^-1(th), then R(th') is the single gate U((th + th')/2), and the last
 U(th), then R^-1(th), is one gate too (:func:`_w_chain`), so a step runs
@@ -109,19 +109,6 @@ _R_K = np.array([[1j, 1j], [-1.0, 1.0]])
 _U_K = np.array([[-1.0, 1j], [-1j, 1.0]])
 # R^-1(th) U(th) = _UR_K * [[cos th/2, sin th/2], [sin th/2, cos th/2]]
 _UR_K = np.array([[1j, 1.0], [-1j, 1.0]])
-_COINS = {"U": (_U_K, 1.0), "R": (_R_K, 0.5), "Q": (_Q_K, 1.0)}
-
-
-def coin_matrix(kind: str, arg: float = 0.0) -> np.ndarray:
-    """Return one of the coin-space gates by name: U, R, Q or PI."""
-    kind = kind.upper()
-    if kind == "PI":
-        return PI_MATRIX.copy()
-    if kind not in _COINS:
-        raise ConfigurationError(f"unknown coin matrix kind {kind!r}")
-    finite(arg, "arg")
-    k, scale = _COINS[kind]
-    return _gate(k, np.cos(scale * arg), np.sin(scale * arg))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +333,8 @@ def _cos(half):
     return x
 
 
-def _slice(th: dict, j: int, site=None) -> _Slice:
-    """The record of the angles `th` at time j; `site` names the site of
-    single-site angles in the error raised where C is singular."""
+def _slice(th: dict, j: int) -> _Slice:
+    """The record of the angles `th` at time j."""
     # a non-finite angle gives NaN half angles, which the check below names
     with np.errstate(invalid="ignore"):
         half = {kl: _half(th[kl]) for kl in KL_PAIRS}
@@ -361,7 +347,7 @@ def _slice(th: dict, j: int, site=None) -> _Slice:
         if np.ndim(bad) == 1:
             # a run of space-uniform slices from time j: name its first bad time
             j, site = j + int(np.argmax(bad)), (0, 0)
-        elif site is None:
+        else:
             # a space-uniform C is singular everywhere: name site (0, 0)
             site = np.unravel_index(np.argmax(bad), np.shape(bad)) or (0, 0)
         raise GeometryError(
@@ -667,22 +653,11 @@ def _t_values(rec: _Slice, nxt: _Slice, params: WalkParams):
     return t
 
 
-def t_epsilon(provider: AngleProvider, j: int, p1: int, p2: int,
-              params: WalkParams) -> float:
-    """Time-difference scalar entering the mass gate, at one site.
-
-    Vanishes whenever the cosine matrix is diagonal, antidiagonal or
-    independent of j.
-    """
-    site = (int(p1), int(p2))
-    rec, nxt = (_slice({kl: provider.angle(t, *site, kl) for kl in KL_PAIRS}, t, site)
-                for t in (j, j + 1))
-    return float(_t_values(rec, nxt, params))
-
-
 def t_epsilon_field(provider: AngleProvider, j: int, shape: tuple[int, int],
                     params: WalkParams):
-    """T over the whole lattice; scalar for space-uniform providers."""
+    """The time-difference scalar T entering the mass gate at time j, over
+    the whole lattice; a scalar for space-uniform providers.  It vanishes
+    wherever the cosine matrix is diagonal, antidiagonal or independent of j."""
     return _t_values(*(_slice(provider.fields(t, shape), t) for t in (j, j + 1)), params)
 
 

@@ -1,10 +1,20 @@
-"""Reference code that tests compare the package's output against."""
+"""Reference code that tests compare the package's output against.
+
+The package ships what its runs compute.  The paper's other closed forms
+live here, each written out on its own: the coin gates and the B^k
+matrices entry by entry, the frame fields and metric as plain 3x3 arrays
+(time-time entry 1, no time-space entries), the frame-field form of the
+walk's time-difference scalar, the continuum T0, the gamma algebra, the
+one-mode operators W0 and W1, and the large-scale expansion.
+"""
 
 import csv
+from typing import NamedTuple
 
 import numpy as np
 
 from gwalk.spectral import _amplitude_parts
+from gwalk.walk import KL_PAIRS
 
 
 def read_csv(path) -> tuple[list[str], list[list[float]]]:
@@ -69,3 +79,202 @@ def hamiltonian_entries(data, c11, c12, c21, c22, mass_like, epsilon):
     out0 += -0.5j * ((-dx_c11 - dy_c21) * f0 + (-1j * dx_c12 - 1j * dy_c22) * f1)
     out1 += -0.5j * ((1j * dx_c12 + 1j * dy_c22) * f0 + (dx_c11 + dy_c21) * f1)
     return np.stack((out0 + mass_like * f1, out1 + mass_like * f0))
+
+
+# ---------------------------------------------------------------------------
+# coin gates and derivative matrices, entry by entry
+# ---------------------------------------------------------------------------
+
+def coin_matrix(kind: str, arg: float = 0.0) -> np.ndarray:
+    """One coin-space gate: U(th), R(th), the mass gate Q(m) = exp(-i m
+    sigma_x), or the basis change PI (which takes no argument)."""
+    c, s = np.cos(arg), np.sin(arg)
+    ch, sh = np.cos(arg / 2), np.sin(arg / 2)
+    return {"U": lambda: np.array([[-c, 1j * s], [-1j * s, c]]),
+            "R": lambda: np.array([[1j * ch, 1j * sh], [-sh, ch]]),
+            "Q": lambda: np.array([[c, -1j * s], [-1j * s, c]]),
+            "PI": lambda: np.array([[-1j, 1.0], [-1.0, 1j]]) / np.sqrt(2.0)}[kind]()
+
+
+def b_matrices(t11, t12, t21, t22):
+    """The Hermitian coefficient matrices B^1, B^2 of the derivative terms."""
+    def b(ca, cb):
+        return np.array([[-ca, -1j * cb], [1j * cb, ca]])
+    return b(np.cos(t11), np.cos(t12)), b(np.cos(t21), np.cos(t22))
+
+
+# ---------------------------------------------------------------------------
+# frame fields and the frame-field form of the time-difference scalar
+# ---------------------------------------------------------------------------
+
+ETA = np.diag([1.0, -1.0, -1.0])
+_ETA = (1.0, -1.0, -1.0)
+_LEVI = {(0, 1, 2): 1.0, (1, 2, 0): 1.0, (2, 0, 1): 1.0,
+         (0, 2, 1): -1.0, (2, 1, 0): -1.0, (1, 0, 2): -1.0}
+
+
+def triad_from_angles(t11, t12, t21, t22) -> np.ndarray:
+    """Frame components e[mu][a]; the spatial block is the cosine matrix."""
+    e = np.eye(3)
+    e[1:, 1:] = [[np.cos(t11), np.cos(t12)], [np.cos(t21), np.cos(t22)]]
+    return e
+
+
+def dual_triad(e: np.ndarray) -> np.ndarray:
+    """Dual frame components d[a][mu]: the spatial block inverts the triad's."""
+    if abs(np.linalg.det(e[1:, 1:])) < 1e-10:
+        raise ValueError("triad spatial block is singular")
+    d = np.eye(3)
+    d[1:, 1:] = np.linalg.inv(e[1:, 1:])
+    return d
+
+
+def metric_from_dual_triad(d: np.ndarray) -> np.ndarray:
+    """g_{mu nu} = eta_ab e^(a)_mu e^(b)_nu, computed exactly as d^T eta d."""
+    return d.T @ ETA @ d
+
+
+def gw_metric_reference(gw, t: float) -> np.ndarray:
+    """First-order target metric of the wave ``gw`` (a ``GwParams``).
+
+    The angle map carries the shear in both off-diagonal cosines, so the
+    metric generated through the triads has twice this reference's g12 at
+    first order; the compression entries and all second-order behaviour
+    agree.
+    """
+    f_val, g_val = gw.f_at(t), gw.g_at(t)
+    g = np.diag([1.0, -(1.0 - gw.xi * (f_val - gw.k)),
+                 -(1.0 + gw.xi * (f_val + gw.k_prime))])
+    g[1, 2] = g[2, 1] = gw.xi * g_val
+    return g
+
+
+def _triad_pair(provider, j, p1, p2):
+    """Embedded 3x3 triad and dual triad at one site and time."""
+    triad = triad_from_angles(*(provider.angle(j, p1, p2, kl) for kl in KL_PAIRS))
+    return triad, dual_triad(triad)
+
+
+def _site_rates(provider, j, p1, p2, eps) -> list:
+    """Centered differences of the dual triad along lattice axes 1 and 2."""
+    return [(_triad_pair(provider, j, p1 + dp1, p2 + dp2)[1]
+             - _triad_pair(provider, j, p1 - dp1, p2 - dp2)[1]) / eps
+            for dp1, dp2 in ((1, 0), (0, 1))]
+
+
+def t_epsilon_compact(provider, j: int, p1: int, p2: int, params) -> float:
+    """The walk's T at one site by the frame-field contraction
+    -levi^{abc} eta_cd e^mu_(a) D_b e^(d)_mu.
+
+    The derivative triple uses the forward time difference for b = 0 and
+    centered site differences for b = 1, 2; the spatial terms vanish
+    identically because of the block structure of the frames, so the value
+    agrees with ``walk.t_epsilon_field`` at the site to roundoff.
+    """
+    eps = params.epsilon
+    triad, dual = _triad_pair(provider, j, p1, p2)
+    rates = [(_triad_pair(provider, j + 1, p1, p2)[1] - dual) / eps]
+    rates += _site_rates(provider, j, p1, p2, eps)
+    return -sum(sign * _ETA[c] * float(triad[:, a] @ rates[b][c, :])
+                for (a, b, c), sign in _LEVI.items())
+
+
+def spatial_nullity_terms(provider, j: int, p1: int, p2: int, params) -> tuple:
+    """The two site-difference contractions K^i = levi^{ibc} e^mu_(b) eta_cd
+    D_i e^(d)_mu, identically zero for the embedded frames."""
+    triad, _ = _triad_pair(provider, j, p1, p2)
+    rates = _site_rates(provider, j, p1, p2, params.epsilon)
+    return tuple(sum(sign * _ETA[c] * float(triad[:, b] @ rates[i - 1][c, :])
+                     for (a, b, c), sign in _LEVI.items() if a == i)
+                 for i in (1, 2))
+
+
+# ---------------------------------------------------------------------------
+# the continuum mass-like scalar T0
+# ---------------------------------------------------------------------------
+
+def _triad_and_rate(series, t: float, h: float):
+    """The triad at t, the block inverse of the dual ``series(t)``, and the
+    dual's centred time derivative with step h."""
+    triad = np.eye(3)
+    triad[1:, 1:] = np.linalg.inv(series(t)[1:, 1:])
+    return triad, (series(t + h) - series(t - h)) / (2.0 * h)
+
+
+def t0(series, t: float, h: float = 1e-6) -> float:
+    """Continuum T0 from a time series of 3x3 dual triads; only the time
+    derivative survives the block structure."""
+    triad, rate = _triad_and_rate(series, t, h)
+    return -sum(sign * _ETA[c] * float(triad[:, a] @ rate[c, :])
+                for (a, b, c), sign in _LEVI.items() if b == 0)
+
+
+def t0_dual_form(series, t: float, h: float = 1e-6) -> float:
+    """The same T0 as e^(1)nu d0 e^(2)_nu - e^(2)nu d0 e^(1)_nu, with the raised
+    duals taken as eta-rescaled triad columns."""
+    triad, rate = _triad_and_rate(series, t, h)
+    return float(_ETA[1] * triad[:, 1] @ rate[2, :] - _ETA[2] * triad[:, 2] @ rate[1, :])
+
+
+# ---------------------------------------------------------------------------
+# gamma algebra
+# ---------------------------------------------------------------------------
+
+GAMMAS = (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+          np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex),
+          np.array([[1j, 0.0], [0.0, -1j]], dtype=complex))
+
+
+def spin_generator(c: int, d: int) -> np.ndarray:
+    """S_cd = (i/2) [gamma_c, gamma_d] with lowered indices."""
+    gc, gd = _ETA[c] * GAMMAS[c], _ETA[d] * GAMMAS[d]
+    return 0.5j * (gc @ gd - gd @ gc)
+
+
+def j_tensor(b: int, c: int, d: int) -> np.ndarray:
+    """J_bcd = {gamma_b, S_cd}; antisymmetric in (c, d) and in (b, c)."""
+    gb, s = _ETA[b] * GAMMAS[b], spin_generator(c, d)
+    return gb @ s + s @ gb
+
+
+# ---------------------------------------------------------------------------
+# large-scale expansion of the one-mode operator
+# ---------------------------------------------------------------------------
+
+def large_scale_operator(xi: float, g: float, qx: float, qy: float) -> np.ndarray:
+    """First order in q of the one-mode operator, valid for |q| << 1."""
+    xg = xi * g
+    alpha, beta = qx + xg * qy, qy + xg * qx
+    return np.array([[1.0 + 1j * alpha, -beta], [beta, 1.0 - 1j * alpha]])
+
+
+class PerturbativeEigs(NamedTuple):
+    """First-order eigenstructure of the large-scale operator (qX > 0 branch)."""
+
+    lambda_plus: complex
+    lambda_minus: complex
+    energy_plus: float
+    energy_minus: float
+    v0_plus: np.ndarray
+    v1_plus: np.ndarray
+
+
+def perturbative_eigs(xi: float, g: float, qx: float, qy: float) -> PerturbativeEigs:
+    """Closed-form eigenvalues, energies and the + eigenvector pieces.
+
+    The energies pick up the anisotropic factor (1 + 2 xi g qX qY / |q|^2).
+    The eigenvector pieces are normalized with second component 1; the
+    first-order piece is the derivative of the exact eigenvector in xi*g,
+    so the eigen-equation residual is quadratic in the perturbation.  Only
+    the qX > 0 branch has this closed form.
+    """
+    aq = float(np.hypot(qx, qy))
+    if aq == 0.0:
+        raise ValueError("|q| = 0: mode direction undefined")
+    if qx <= 0.0:
+        raise ValueError("closed-form eigenvectors cover only the qX > 0 branch")
+    factor = (1.0 + 2.0 * xi * g * qx * qy / aq ** 2) * aq
+    v0 = np.array([-1j * qy / (qx + aq), 1.0])
+    bracket = qx - qy ** 2 * (1.0 + 2.0 * qx / aq) / (qx + aq)
+    v1 = np.array([-1j * bracket / (qx + aq), 0.0])
+    return PerturbativeEigs(1.0 - 1j * factor, 1.0 + 1j * factor, factor, -factor, v0, v1)

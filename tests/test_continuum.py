@@ -4,52 +4,45 @@ import math
 import numpy as np
 import pytest
 
-from gwalk.continuum import (GAMMA0, GAMMA1, GAMMA2, HamiltonianField,
-                             b_matrices, bandlimit_fraction,
-                             continuum_residual, gamma_rep,
+from gwalk.continuum import (HamiltonianField, bandlimit_fraction, continuum_residual,
                              hamiltonian_apply, hamiltonian_from_angles,
-                             hamiltonian_from_provider, j_tensor,
-                             spin_generator, t0, t0_dual_form)
+                             hamiltonian_from_provider)
 from gwalk.errors import ConfigurationError
-from gwalk.geometry import dual_triad, triad_from_angles
-from gwalk.walk import (SpinorField, WalkParams, flat_angles, pure_shear_angles,
-                        uniform_time_angles)
+from gwalk.walk import (SpinorField, WalkParams, array_angles, flat_angles,
+                        pure_shear_angles, t_epsilon_field, uniform_time_angles)
 
-from oracles import hamiltonian_entries
+from oracles import (ETA, GAMMAS, b_matrices, dual_triad, hamiltonian_entries, j_tensor,
+                     spin_generator, t0, t0_dual_form, triad_from_angles)
 
-ETA = np.diag([1.0, -1.0, -1.0])
+GAMMA0 = GAMMAS[0]
 FLAT = (0.0, math.pi / 2, math.pi / 2, 0.0)
 
 
 class TestCliffordAlgebra:
     def test_anticommutators(self):
-        gammas = (GAMMA0, GAMMA1, GAMMA2)
         for a in range(3):
             for b in range(3):
-                anti = gammas[a] @ gammas[b] + gammas[b] @ gammas[a]
+                anti = GAMMAS[a] @ GAMMAS[b] + GAMMAS[b] @ GAMMAS[a]
                 np.testing.assert_allclose(anti, 2 * ETA[a, b] * np.eye(2),
                                            atol=1e-14)
 
     def test_j_tensor_cyclic_components(self):
-        rep = gamma_rep()
         for b, c, d in ((0, 1, 2), (2, 0, 1), (1, 2, 0)):
-            np.testing.assert_allclose(j_tensor(rep, b, c, d), 2 * np.eye(2),
+            np.testing.assert_allclose(j_tensor(b, c, d), 2 * np.eye(2),
                                        atol=1e-14)
 
     def test_j_tensor_antisymmetries(self):
-        rep = gamma_rep()
         for b, c, d in itertools.product(range(3), repeat=3):
-            jbcd = j_tensor(rep, b, c, d)
-            np.testing.assert_allclose(jbcd, -j_tensor(rep, b, d, c), atol=1e-14)
-            np.testing.assert_allclose(jbcd, -j_tensor(rep, c, b, d), atol=1e-14)
+            jbcd = j_tensor(b, c, d)
+            np.testing.assert_allclose(jbcd, -j_tensor(b, d, c), atol=1e-14)
+            np.testing.assert_allclose(jbcd, -j_tensor(c, b, d), atol=1e-14)
             if len({b, c, d}) < 3:
                 np.testing.assert_allclose(jbcd, 0.0, atol=1e-14)
 
     def test_spin_generator_antisymmetry(self):
-        rep = gamma_rep()
         for c, d in itertools.product(range(3), repeat=2):
-            np.testing.assert_allclose(spin_generator(rep, c, d),
-                                       -spin_generator(rep, d, c), atol=1e-14)
+            np.testing.assert_allclose(spin_generator(c, d),
+                                       -spin_generator(d, c), atol=1e-14)
 
 
 class TestBMatrices:
@@ -74,14 +67,30 @@ class TestBMatrices:
 
     def test_matches_triad_contraction(self):
         rng = np.random.default_rng(1)
-        g0g = (GAMMA0 @ GAMMA1, GAMMA0 @ GAMMA2)
+        g0g = (GAMMA0 @ GAMMAS[1], GAMMA0 @ GAMMAS[2])
         for _ in range(10):
             angles = rng.uniform(0.1, 1.4, 4)
             b1, b2 = b_matrices(*angles)
             triad = triad_from_angles(*angles)
             for k, bk in enumerate((b1, b2)):
-                expected = sum(triad.spatial[k, a] * g0g[a] for a in range(2))
+                expected = sum(triad[1 + k, 1 + a] * g0g[a] for a in range(2))
                 np.testing.assert_allclose(bk, expected, atol=1e-14)
+
+    def test_generator_on_plane_waves_is_the_symbol(self):
+        # uniform angles: H pol exp(i(k1 p1 + k2 p2)) = (B^1 qX + B^2 qY) pol
+        # times the same wave, with q = 2k / eps
+        rng = np.random.default_rng(3)
+        length, eps = 16, 0.5
+        for _ in range(5):
+            angles = rng.uniform(0.1, 1.4, 4)
+            k1, k2 = 2 * np.pi * rng.integers(-3, 4, 2) / length
+            pol = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            f = SpinorField.plane_wave((length, length), k1, k2, pol)
+            b1, b2 = b_matrices(*angles)
+            expected = SpinorField.plane_wave((length, length), k1, k2,
+                                              (b1 * 2 * k1 / eps + b2 * 2 * k2 / eps) @ pol)
+            out = hamiltonian_apply(f, hamiltonian_from_angles(*angles, epsilon=eps))
+            np.testing.assert_allclose(out.data, expected.data, rtol=0, atol=1e-12)
 
     def test_block_decomposition_through_pi(self):
         # B^k splits into a diagonal piece plus its Pi conjugate
@@ -112,9 +121,7 @@ class TestT0:
 
     def test_diagonal_dual_triad_vanishes(self):
         def series(t):
-            d = np.diag([1.0, 1.0 + 0.3 * math.sin(t), 1.2 - 0.2 * math.cos(t)])
-            from gwalk.geometry import DualTriad
-            return DualTriad(d)
+            return np.diag([1.0, 1.0 + 0.3 * math.sin(t), 1.2 - 0.2 * math.cos(t)])
         assert abs(t0(series, 0.7)) < 1e-10
 
     def test_dual_form_identity(self):
@@ -126,7 +133,6 @@ class TestT0:
             assert abs(t0(series, t) - t0_dual_form(series, t)) < 1e-10
 
     def test_lattice_scalar_converges_first_order(self):
-        from gwalk.walk import t_epsilon
         fns = [lambda t: 0.3 + 0.1 * math.sin(t),
                lambda t: 1.0 + 0.2 * math.cos(t),
                lambda t: 0.8 + 0.05 * math.sin(0.5 * t),
@@ -139,7 +145,7 @@ class TestT0:
             # the provider samples the waveforms at T = j*eps
             provider = uniform_time_angles(*fns, epsilon=eps)
             base_j = round(1.3 / eps)
-            val = t_epsilon(provider, base_j, 0, 0, WalkParams(epsilon=eps))
+            val = t_epsilon_field(provider, base_j, (2, 2), WalkParams(epsilon=eps))
             errs.append(abs(val - t_ref))
         rate = errs[0] / errs[1]
         assert 5.0 < rate < 20.0  # first-order convergence in eps
@@ -262,6 +268,35 @@ class TestContinuumResidual:
         eps, res = self._residuals(flat_angles, 0.5, mode_scale=False)
         slope = np.polyfit(np.log(eps), np.log(res), 1)[0]
         assert 1.8 < slope < 2.2
+
+    def test_geometry_varying_in_space_and_time(self):
+        # criterion 5's set-up on per-site angles b + a sin(k p1 +- k p2 + phi
+        # + omega T), k the field's own mode (a multiple of 2 pi / L, so the
+        # geometry is periodic; fixed in X, Y and T as eps falls): the
+        # divergence term and T0 are nonzero.  The slope alone cannot see
+        # either dropped (1.93, 1.91), but r / eps^2 moves by -0.35% over the
+        # last two eps intact, by +3.5% without the divergence term and by
+        # +6.1% without T0
+        length, mass, amplitude, omega = 128, 0.3, 0.3, 5.0
+        base = {(1, 1): (0.3, 0.4, 1), (1, 2): (1.1, 1.3, -1),
+                (2, 1): (0.9, 2.1, 1), (2, 2): (0.5, 0.7, -1)}
+        pol = np.array([0.6 + 0.2j, -0.3 + 0.7j])
+        pol /= np.linalg.norm(pol)
+        eps_values = np.array([0.2, 0.1, 0.05, 0.025])
+        p1, p2 = np.ogrid[:length, :length]
+        res = []
+        for eps in eps_values:
+            k = 2 * np.pi * round(eps / eps_values[-1]) / length
+            provider = array_angles({
+                kl: np.stack([b + amplitude * np.sin(k * p1 + sign * k * p2 + phi
+                                                     + omega * j * eps) for j in (0, 1)])
+                for kl, (b, phi, sign) in base.items()})
+            f = SpinorField.plane_wave((length, length), k, k, pol)
+            res.append(continuum_residual(provider, WalkParams(epsilon=eps, mass=mass), f, 0))
+        slope = np.polyfit(np.log(eps_values), np.log(res), 1)[0]
+        assert 1.8 < slope < 2.2
+        scaled = np.array(res) / eps_values ** 2
+        assert abs(scaled[-1] / scaled[-2] - 1.0) < 0.015
 
     def test_bandlimit_guard(self):
         rng = np.random.default_rng(4)

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from gwalk.errors import ConfigurationError, GeometryError, SignConditionError
-from gwalk.geometry import (DualTriad, GwParams, Metric3, Triad, dual_triad,
-                            gw_angle_provider, gw_angles, gw_metric_reference,
-                            metric_from_dual_triad, triad_from_angles)
+from gwalk.errors import ConfigurationError, SignConditionError
+from gwalk.geometry import GwParams, gw_angle_provider, gw_angles
 from gwalk.walk import pure_shear_angles, uniform_time_angles
+
+from oracles import dual_triad, gw_metric_reference, metric_from_dual_triad, triad_from_angles
 
 FLAT = (0.0, math.pi / 2, math.pi / 2, 0.0)
 
@@ -15,37 +15,31 @@ FLAT = (0.0, math.pi / 2, math.pi / 2, 0.0)
 class TestTriad:
     def test_flat_angles_give_identity_block(self):
         t = triad_from_angles(*FLAT)
-        np.testing.assert_allclose(t.spatial, np.eye(2), atol=1e-16)
-        np.testing.assert_allclose(t.e[0], [1, 0, 0], atol=0)
+        np.testing.assert_allclose(t[1:, 1:], np.eye(2), atol=1e-16)
+        np.testing.assert_allclose(t[0], [1, 0, 0], atol=0)
 
     def test_pure_shear_block_first_order(self):
         xg = 1e-6
         t = triad_from_angles(0.0, math.pi / 2 - xg, math.pi / 2 - xg, 0.0)
         expected = np.array([[1.0, xg], [xg, 1.0]])
-        assert np.abs(t.spatial - expected).max() < 10 * xg ** 3 + 1e-16
+        assert np.abs(t[1:, 1:] - expected).max() < 10 * xg ** 3 + 1e-16
 
     def test_single_angle_entry(self):
         t = triad_from_angles(math.pi / 3, math.pi / 2, math.pi / 2, 0.0)
-        assert t.spatial[0, 0] == pytest.approx(0.5)
-
-    def test_border_validation(self):
-        bad = np.eye(3)
-        bad[0, 1] = 0.1
-        with pytest.raises(GeometryError):
-            Triad(bad)
+        assert t[1, 1] == pytest.approx(0.5)
 
 
 class TestDualTriad:
     def test_identity(self):
         d = dual_triad(triad_from_angles(*FLAT))
-        np.testing.assert_allclose(d.spatial, np.eye(2), atol=1e-16)
+        np.testing.assert_allclose(d[1:, 1:], np.eye(2), atol=1e-16)
 
     def test_symmetric_two_by_two_inverse(self):
         a = 0.3
         t = triad_from_angles(0.0, math.acos(a), math.acos(a), 0.0)
         d = dual_triad(t)
         expected = np.array([[1.0, -a], [-a, 1.0]]) / (1.0 - a * a)
-        np.testing.assert_allclose(d.spatial, expected, atol=1e-14)
+        np.testing.assert_allclose(d[1:, 1:], expected, atol=1e-14)
 
     def test_contraction_identity(self):
         rng = np.random.default_rng(0)
@@ -55,18 +49,18 @@ class TestDualTriad:
                                      rng.uniform(0.1, 0.7, 1)])
             t = triad_from_angles(angles[0], angles[1], angles[2], angles[3])
             d = dual_triad(t)
-            np.testing.assert_allclose(t.e @ d.d, np.eye(3), atol=1e-12)
+            np.testing.assert_allclose(t @ d, np.eye(3), atol=1e-12)
 
     def test_singular_rejected(self):
         t = triad_from_angles(0.4, 0.4, 0.4, 0.4)
-        with pytest.raises(GeometryError, match="singular"):
+        with pytest.raises(ValueError, match="singular"):
             dual_triad(t)
 
 
 class TestMetric:
     def test_identity_gives_minkowski(self):
         m = metric_from_dual_triad(dual_triad(triad_from_angles(*FLAT)))
-        np.testing.assert_allclose(m.g, np.diag([1.0, -1.0, -1.0]), atol=1e-15)
+        np.testing.assert_allclose(m, np.diag([1.0, -1.0, -1.0]), atol=1e-15)
 
     def test_eta_contraction_exact(self):
         rng = np.random.default_rng(1)
@@ -76,17 +70,18 @@ class TestMetric:
                                   rng.uniform(0.9, 1.4), rng.uniform(0.1, 0.6))
             d = dual_triad(t)
             m = metric_from_dual_triad(d)
-            np.testing.assert_array_equal(m.g, d.d.T @ eta @ d.d)
+            np.testing.assert_array_equal(m, d.T @ eta @ d)
+            np.testing.assert_array_equal(m, m.T)
 
     def test_block_entries(self):
         t = triad_from_angles(0.2, 1.1, 1.3, 0.4)
         d = dual_triad(t)
         m = metric_from_dual_triad(d)
-        ds = d.spatial
-        assert m.g[1, 1] == pytest.approx(-(ds[0, 0] ** 2 + ds[1, 0] ** 2))
-        assert m.g[2, 2] == pytest.approx(-(ds[1, 1] ** 2 + ds[0, 1] ** 2))
-        assert m.g[1, 2] == pytest.approx(-(ds[0, 1] * ds[0, 0] + ds[1, 0] * ds[1, 1]))
-        assert m.g[0, 0] == 1.0 and m.g[0, 1] == 0.0 and m.g[0, 2] == 0.0
+        ds = d[1:, 1:]
+        assert m[1, 1] == pytest.approx(-(ds[0, 0] ** 2 + ds[1, 0] ** 2))
+        assert m[2, 2] == pytest.approx(-(ds[1, 1] ** 2 + ds[0, 1] ** 2))
+        assert m[1, 2] == pytest.approx(-(ds[0, 1] * ds[0, 0] + ds[1, 0] * ds[1, 1]))
+        assert m[0, 0] == 1.0 and m[0, 1] == 0.0 and m[0, 2] == 0.0
 
     def test_spatial_block_negative_definite(self):
         rng = np.random.default_rng(2)
@@ -94,14 +89,8 @@ class TestMetric:
             t = triad_from_angles(rng.uniform(0.0, 0.5), rng.uniform(1.0, 1.5),
                                   rng.uniform(1.0, 1.5), rng.uniform(0.0, 0.5))
             m = metric_from_dual_triad(dual_triad(t))
-            eig = np.linalg.eigvalsh(m.g[1:, 1:])
+            eig = np.linalg.eigvalsh(m[1:, 1:])
             assert np.all(eig < 0)
-
-    def test_symmetry_enforced(self):
-        bad = np.diag([1.0, -1.0, -1.0])
-        bad[1, 2] = 0.1
-        with pytest.raises(GeometryError):
-            Metric3(bad)
 
 
 class TestGwAngles:
@@ -137,21 +126,24 @@ class TestGwAngles:
         with pytest.raises(ConfigurationError, match="t must be a finite number"):
             gw_angles(gw, t)
 
-    @pytest.mark.parametrize("f, key", [(lambda t: math.nan, "K"),
-                                        (lambda t: math.inf, "K"),
-                                        (lambda t: -math.inf, "K'")],
-                             ids=["nan", "inf", "-inf"])
-    def test_radicand_that_is_not_nonnegative_fails_the_sign_condition(self, f, key):
-        # nan fails both conditions and names the first; an infinite F makes
-        # one radicand -inf
+    @pytest.mark.parametrize("f, message", [
+        (lambda t: math.nan, r"^-xi\*\(F\(T\) - K\) is not a number at T = 0$"),
+        (lambda t: math.inf, r"^-xi\*\(F\(T\) - K\) = -inf < 0 at T = 0: increase K so"),
+        (lambda t: -math.inf, r"^xi\*\(F\(T\) \+ K'\) = -inf < 0 at T = 0: increase K' so")],
+        ids=["nan", "inf", "-inf"])
+    def test_radicand_that_is_not_nonnegative_fails_the_sign_condition(self, f, message):
+        # nan fails both conditions and names the first, with no K to raise;
+        # an infinite F makes one radicand -inf
         gw = GwParams(xi=1e-3, f=f, k=2, k_prime=2)
-        with pytest.raises(SignConditionError, match=f"increase {key} so"):
+        with pytest.raises(SignConditionError, match=message):
             gw_angles(gw, 0.0)
 
     def test_nan_from_zero_times_inf_fails_the_sign_condition(self):
-        # xi = 0 against an infinite waveform gives 0 * inf = nan radicands
+        # xi = 0 against an infinite waveform gives 0 * inf = nan radicands,
+        # which no K can make real
         gw = GwParams(xi=0.0, f=lambda t: math.inf)
-        with pytest.raises(SignConditionError, match=r"-xi\*\(F\(T\) - K\) = nan"):
+        with pytest.raises(SignConditionError,
+                           match=r"^-xi\*\(F\(T\) - K\) is not a number at T = 1$"):
             gw_angles(gw, 1.0)
 
     def test_overflowing_radicand_stays_infinite(self):
@@ -171,23 +163,23 @@ class TestGwAngles:
 class TestGwMetricReference:
     def test_zero_amplitude(self):
         m = gw_metric_reference(GwParams(xi=0.0), 0.0)
-        np.testing.assert_allclose(m.g, np.diag([1.0, -1.0, -1.0]), atol=0)
+        np.testing.assert_allclose(m, np.diag([1.0, -1.0, -1.0]), atol=0)
 
     def test_shear_cross_term(self):
         m = gw_metric_reference(GwParams(xi=0.01, g=1.0), 0.0)
-        assert m.g[1, 2] == pytest.approx(0.01)
+        assert m[1, 2] == pytest.approx(0.01)
 
     def test_compression_diagonal(self):
         m = gw_metric_reference(GwParams(xi=0.01, f=1.0), 0.0)
-        assert m.g[1, 1] == pytest.approx(-0.99)
-        assert m.g[2, 2] == pytest.approx(-1.01)
+        assert m[1, 1] == pytest.approx(-0.99)
+        assert m[2, 2] == pytest.approx(-1.01)
 
 
 class TestRoundTrip:
     @staticmethod
     def _round_trip(gw, t):
         return metric_from_dual_triad(
-            dual_triad(triad_from_angles(*gw_angles(gw, t)))).g
+            dual_triad(triad_from_angles(*gw_angles(gw, t))))
 
     def test_compression_matches_reference_at_second_order(self):
         # G = 0: the angle map reproduces the reference metric up to O(xi^2)
@@ -195,7 +187,7 @@ class TestRoundTrip:
         xis = (1e-3, 1e-4, 1e-5)
         for xi in xis:
             gw = GwParams(xi=xi, f=lambda t: math.cos(t), k=1.5, k_prime=0.5)
-            diff = self._round_trip(gw, 0.3) - gw_metric_reference(gw, 0.3).g
+            diff = self._round_trip(gw, 0.3) - gw_metric_reference(gw, 0.3)
             errs.append(np.abs(diff).max())
         slope = np.polyfit(np.log(xis), np.log(errs), 1)[0]
         assert 1.8 < slope < 2.2
@@ -206,7 +198,7 @@ class TestRoundTrip:
         for xi in (1e-4, 1e-5):
             gw = GwParams(xi=xi, g=0.7)
             g12 = self._round_trip(gw, 0.0)[1, 2]
-            ref = gw_metric_reference(gw, 0.0).g[1, 2]
+            ref = gw_metric_reference(gw, 0.0)[1, 2]
             assert g12 == pytest.approx(2.0 * ref, rel=1e-6)
             assert g12 > 0  # same orientation as the reference cross term
 
@@ -215,7 +207,7 @@ class TestRoundTrip:
         gw = GwParams(xi=xi, f=lambda t: math.cos(t), g=lambda t: math.sin(t),
                       k=2.0, k_prime=2.0)
         rt = self._round_trip(gw, 0.4)
-        ref = gw_metric_reference(gw, 0.4).g
+        ref = gw_metric_reference(gw, 0.4)
         for idx in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2)):
             assert abs(rt[idx] - ref[idx]) < 50 * xi ** 2
 

@@ -11,12 +11,12 @@ from gwalk import spectral
 from gwalk.cli import parse_config, run
 from gwalk.csvio import sha256_file
 from gwalk.errors import ConfigurationError, ConsistencyError
-from gwalk.spectral import (SpectrumGrid, eigen, find_rho_maxima,
-                            large_scale_operator, mode_operator, mode_w0, mode_w1,
-                            perturbative_eigs, rho, transfer_matrix, unaffected_modes)
-from gwalk.walk import SpinorField
+from gwalk.spectral import SpectrumGrid, find_rho_maxima, rho, unaffected_modes
+from gwalk.walk import (SpinorField, WalkParams, plane_wave_transfer_matrix,
+                        pure_shear_angles, step)
 
-from oracles import broadcast_grid, mode_w0_entries, mode_w1_entries
+from oracles import (broadcast_grid, large_scale_operator, mode_w0_entries,
+                     mode_w1_entries, perturbative_eigs)
 
 TWO_PI = 2 * math.pi
 
@@ -147,12 +147,18 @@ class TestDft:
                    - np.sum(np.abs(f.data) ** 2)) < 1e-12
 
 
+def exact_mode_matrix(xi, g, qx, qy):
+    """The shear-wave step's exact one-mode matrix at q = 2k."""
+    return plane_wave_transfer_matrix(pure_shear_angles(xi, g), 0, qx / 2, qy / 2,
+                                      WalkParams(xi=xi))
+
+
 class TestModeOperators:
     def test_w0_at_origin_is_identity(self):
-        np.testing.assert_allclose(mode_w0(0.0, 0.0), np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(mode_w0_entries(0.0, 0.0), np.eye(2), atol=1e-15)
 
     def test_w0_spin_flip_point(self):
-        m = mode_w0(-math.pi / 2, math.pi / 2)
+        m = mode_w0_entries(-math.pi / 2, math.pi / 2)
         sigma1 = np.array([[0, 1], [1, 0]])
         np.testing.assert_allclose(m, -1j * sigma1, atol=1e-15)
 
@@ -160,12 +166,12 @@ class TestModeOperators:
         rng = np.random.default_rng(1)
         for _ in range(100):
             qx, qy = rng.uniform(-TWO_PI, TWO_PI, 2)
-            tr = np.trace(mode_w0(qx, qy))
+            tr = np.trace(mode_w0_entries(qx, qy))
             assert tr == pytest.approx(2 * math.cos(qx) * math.cos(qy), abs=1e-12)
 
     def test_w1_zero_points(self):
         for qx, qy in [(0.0, 0.0), (-math.pi / 2, math.pi / 2)]:
-            assert np.abs(mode_w1(qx, qy)).max() < 1e-14
+            assert np.abs(mode_w1_entries(qx, qy)).max() < 1e-14
 
     def test_w1_matches_lattice_derivative(self):
         # Richardson-style check: the residual shrinks linearly with xi
@@ -175,9 +181,9 @@ class TestModeOperators:
         for xi in (1e-3, 1e-4):
             worst = 0.0
             for qx, qy in points:
-                w_exact = transfer_matrix(xi, 1.0, qx, qy)
-                w1_num = (w_exact - mode_w0(qx, qy)) / xi
-                worst = max(worst, np.abs(w1_num - mode_w1(qx, qy)).max())
+                w_exact = exact_mode_matrix(xi, 1.0, qx, qy)
+                w1_num = (w_exact - mode_w0_entries(qx, qy)) / xi
+                worst = max(worst, np.abs(w1_num - mode_w1_entries(qx, qy)).max())
             errs.append(worst)
         assert errs[0] < 0.02
         assert errs[1] < errs[0] / 5.0
@@ -186,19 +192,18 @@ class TestModeOperators:
         rng = np.random.default_rng(3)
         qx = rng.uniform(-TWO_PI, TWO_PI, 500)
         qy = rng.uniform(-TWO_PI, TWO_PI, 500)
-        w0, w1 = mode_w0(qx, qy), mode_w1(qx, qy)
+        w0, w1 = mode_w0_entries(qx, qy), mode_w1_entries(qx, qy)
         defect = np.einsum("...ji,...jk->...ik", w0.conj(), w1) \
             + np.einsum("...ji,...jk->...ik", w1.conj(), w0)
         assert np.abs(defect).max() < 1e-12
 
     def test_exact_mode_operator_is_the_plane_wave_step(self):
-        from gwalk.walk import WalkParams, pure_shear_angles, step
         xi, g = 3e-3, 0.8
         k1, k2 = 2 * np.pi * 5 / 32, 2 * np.pi * 9 / 32
         pol = np.array([0.48 - 0.6j, 0.64])
         f = SpinorField.plane_wave((32, 32), k1, k2, pol)
         out = step(f, 0, pure_shear_angles(xi, g), WalkParams(xi=xi))
-        expected = mode_operator(xi, g, 2 * k1, 2 * k2).exact() @ pol
+        expected = exact_mode_matrix(xi, g, 2 * k1, 2 * k2) @ pol
         assert np.abs(out.data[:, 0, 0] - expected).max() < 1e-12
 
     def test_mode_operator_exact_vs_first_order(self):
@@ -206,27 +211,14 @@ class TestModeOperators:
         for xi in (1e-3, 1e-4):
             for _ in range(10):
                 qx, qy = rng.uniform(-TWO_PI, TWO_PI, 2)
-                op = mode_operator(xi, 1.0, qx, qy)
-                diff = np.abs(op.exact() - op.first_order()).max()
+                first_order = mode_w0_entries(qx, qy) + xi * mode_w1_entries(qx, qy)
+                diff = np.abs(exact_mode_matrix(xi, 1.0, qx, qy) - first_order).max()
                 assert diff < 30 * xi ** 2
 
     def test_broadcast_shapes(self):
         qx = np.zeros((3, 4))
-        assert mode_w0(qx, qx).shape == (3, 4, 2, 2)
-        assert mode_w1(qx, qx).shape == (3, 4, 2, 2)
-
-    @pytest.mark.parametrize("fn, oracle", [(mode_w0, mode_w0_entries),
-                                            (mode_w1, mode_w1_entries)],
-                             ids=["w0", "w1"])
-    def test_shared_layout_keeps_the_bits_of_each_entry(self, fn, oracle):
-        # on a random grid, on broadcast axes and at one point
-        rng = np.random.default_rng(25)
-        qx, qy = rng.uniform(-TWO_PI, TWO_PI, (2, 50, 40))
-        ax, ay = rng.uniform(-TWO_PI, TWO_PI, 50), rng.uniform(-TWO_PI, TWO_PI, 40)
-        for args in ((qx, qy), (ax[:, None], ay[None, :]), (0.3, -1.7)):
-            got, expected = fn(*args), oracle(*args)
-            assert got.shape == expected.shape
-            assert got.tobytes() == expected.tobytes()
+        assert mode_w0_entries(qx, qx).shape == (3, 4, 2, 2)
+        assert mode_w1_entries(qx, qx).shape == (3, 4, 2, 2)
 
 
 class TestRho:
@@ -241,7 +233,7 @@ class TestRho:
         rng = np.random.default_rng(5)
         for _ in range(30):
             qx, qy = rng.uniform(-TWO_PI, TWO_PI, 2)
-            lams = np.linalg.eigvals(mode_w1(qx, qy))
+            lams = np.linalg.eigvals(mode_w1_entries(qx, qy))
             target = rho(qx, qy) / math.sqrt(2.0)
             np.testing.assert_allclose(np.abs(lams), target, atol=1e-10)
             # eigenvalues come in a conjugate pair
@@ -413,65 +405,25 @@ class TestArgumentKinds:
 
 
 class TestEigen:
-    def test_identity(self):
-        pairs = eigen(np.eye(2))
-        assert len(pairs) == 2
-        for p in pairs:
-            assert p.eigenvalue == pytest.approx(1.0)
-            assert p.energy == pytest.approx(0.0)
-
+    # W0's eigenstructure, by numpy's eig: energies are -arg of the eigenvalues
     def test_w0_on_axis(self):
         q = 0.9
-        pairs = eigen(mode_w0(q, 0.0))
-        assert pairs[0].energy == pytest.approx(-q)
-        assert pairs[1].energy == pytest.approx(q)
+        values, vectors = np.linalg.eig(mode_w0_entries(q, 0.0))
+        order = np.argsort(-np.angle(values))
+        values, vectors = values[order], vectors[:, order]
+        np.testing.assert_allclose(-np.angle(values), [-q, q], atol=1e-12)
         # (0, 1) belongs to the exp(-iq) eigenvalue
-        assert pairs[1].eigenvalue == pytest.approx(np.exp(-1j * q), abs=1e-12)
-        np.testing.assert_allclose(pairs[1].eigenvector, [0.0, 1.0], atol=1e-12)
+        assert values[1] == pytest.approx(np.exp(-1j * q), abs=1e-12)
+        np.testing.assert_allclose(np.abs(vectors[:, 1]), [0.0, 1.0], atol=1e-12)
 
     def test_w0_energies_arccos_formula(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
             qx, qy = rng.uniform(-TWO_PI, TWO_PI, 2)
-            pairs = eigen(mode_w0(qx, qy))
+            energies = sorted(-np.angle(np.linalg.eigvals(mode_w0_entries(qx, qy))))
             e = math.acos(np.clip(math.cos(qx) * math.cos(qy), -1.0, 1.0))
-            energies = sorted(p.energy for p in pairs)
             assert energies[0] == pytest.approx(-e, abs=1e-10)
             assert energies[1] == pytest.approx(e, abs=1e-10)
-
-    def test_energy_branch_reproduces_eigenvalue(self):
-        rng = np.random.default_rng(7)
-        for _ in range(30):
-            qx, qy = rng.uniform(-TWO_PI, TWO_PI, 2)
-            for p in eigen(mode_w0(qx, qy)):
-                assert -math.pi < p.energy <= math.pi
-                assert np.exp(-1j * p.energy) == pytest.approx(p.eigenvalue,
-                                                               abs=1e-12)
-
-    def test_matches_numpy_eig(self):
-        rng = np.random.default_rng(8)
-        for _ in range(30):
-            m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            ours = eigen(m)
-            ref = sorted(np.linalg.eigvals(m), key=lambda z: (z.real, z.imag))
-            got = sorted((p.eigenvalue for p in ours), key=lambda z: (z.real, z.imag))
-            np.testing.assert_allclose(got, ref, atol=1e-10)
-            for p in ours:
-                resid = m @ p.eigenvector - p.eigenvalue * p.eigenvector
-                assert np.abs(resid).max() < 1e-10
-
-    def test_defective_matrix_notice(self):
-        with pytest.warns(UserWarning, match="defective"):
-            pairs = eigen(np.array([[1.0, 1.0], [0.0, 1.0]]))
-        assert len(pairs) == 1
-        assert pairs[0].eigenvalue == pytest.approx(1.0)
-
-    def test_phase_convention(self):
-        pairs = eigen(mode_w0(0.7, 1.2))
-        for p in pairs:
-            first = next(c for c in p.eigenvector if abs(c) > 1e-14)
-            assert first.imag == pytest.approx(0.0, abs=1e-12)
-            assert first.real > 0
 
 
 class TestLargeScale:
@@ -489,7 +441,7 @@ class TestLargeScale:
         errs = []
         for qn in qs:
             qx, qy = qn * 0.6, qn * 0.8
-            approx = mode_w0(qx, qy) + xg * mode_w1(qx, qy)
+            approx = mode_w0_entries(qx, qy) + xg * mode_w1_entries(qx, qy)
             errs.append(np.abs(large_scale_operator(1.0, xg, qx, qy) - approx).max())
         slope = np.polyfit(np.log(qs), np.log(errs), 1)[0]
         assert slope > 1.9
@@ -534,9 +486,9 @@ class TestPerturbativeEigs:
                     assert resid <= 1.0 * (xg ** 2 + qn ** 2 * xg)
 
     def test_errors(self):
-        with pytest.raises(ConfigurationError, match="direction"):
+        with pytest.raises(ValueError, match="direction"):
             perturbative_eigs(0.0, 1.0, 0.0, 0.0)
-        with pytest.raises(ConfigurationError, match="branch"):
+        with pytest.raises(ValueError, match="branch"):
             perturbative_eigs(0.0, 1.0, -0.1, 0.2)
 
 
