@@ -30,7 +30,14 @@ Cosines and sines come from one tangent each (:func:`_cos_sin`).  T takes
 the entries of C^-1 as cos/det while it is built, and the gates take
 cos theta and sin theta = 2cs.  Step j needs the records of slices j and
 j+1 (the latter for T); :func:`evolve` carries the record of slice j+1
-into step j+1, so each slice costs 4 tangents and 4 cos theta once.
+into step j+1, so each slice costs 4 tangents and 4 cos theta once.  The
+real-space step reads a per-site slice as (L1, 1) columns when all four of
+its angles are constant along p2, bit for bit, else as (1, L2) rows when
+they are constant along p1, as for a linear wave along a lattice axis
+(:func:`_narrow`).  Its record, T, mass gate and W chains are then built
+on those lines (T on the wider of slices j and j+1), and each site runs
+the float operations it runs on the whole lattice, so no bit changes.
+:func:`t_epsilon_field` and ``AngleProvider.fields`` stay (L1, L2).
 
 Every gate is K * [[c, s], [s, c]] entrywise with K's entries in
 {+-1, +-i}.  Per-site gates are applied as real gates: the field is held
@@ -71,8 +78,10 @@ Per-site angles are stepped in real space, through two field buffers and
 a scratch array that the loop allocates once.  A gate runs over pieces of
 at most _CHUNK = 2^14 sites, both of its rows per piece, so that the
 piece's source, product and sum stay in cache; the scratch holds one
-piece's temporary (256 KiB).  All public operations are pure: they read
-only the input field and return a fresh array.
+piece's temporary (256 KiB).  A gate whose fields are columns or rows
+broadcasts them to the lattice once, while it is applied.  All public
+operations are pure: they read only the input field and return a fresh
+array.
 """
 
 from __future__ import annotations
@@ -142,11 +151,6 @@ class AngleProvider:
     def __init__(self, fn: Callable, uniform_in_space: bool = False):
         self._fn = fn
         self.uniform_in_space = bool(uniform_in_space)
-
-    def angle(self, j: int, p1, p2, kl: tuple[int, int]):
-        """One angle at site (p1, p2); sites wrap with the periodic lattice."""
-        a = self._fn(int(integer(j, "j", 0)))[KL_PAIRS.index(tuple(kl))]
-        return a if self.uniform_in_space else a[p1 % a.shape[0], p2 % a.shape[1]]
 
     def fields(self, j: int, shape: tuple[int, int]) -> dict:
         """Angles of all four kinds at time j, as scalars or (L1, L2) arrays."""
@@ -356,6 +360,23 @@ def _slice(th: dict, j: int) -> _Slice:
     return _Slice(half, cos, det, min_abs_det)
 
 
+def _narrow(th: dict) -> dict:
+    """The per-site slice `th` as the real-space step reads it: (L1, 1)
+    columns when each of its four angles is constant along axis 2, else
+    (1, L2) rows when each is constant along axis 1, else as it is.  Bits
+    are compared, not values, so that -0.0 beside 0.0, or a NaN among
+    numbers, keeps the whole lattice; so does anything but float64 arrays.  Each site's float
+    operations are those of the whole slice (module docstring)."""
+    if not all(isinstance(a, np.ndarray) and a.dtype == np.float64 for a in th.values()):
+        return th
+    bits = [a.view(np.int64) for a in th.values()]
+    for axis, line in ((1, np.s_[:, :1]), (0, np.s_[:1])):
+        # reductions along the axis, not a lattice-sized comparison
+        if all(np.array_equal(b.max(axis), b.min(axis)) for b in bits):
+            return {kl: a[line] for kl, a in th.items()}
+    return th
+
+
 def _step_gate_lists(provider: AngleProvider, j0: int, steps: int,
                      shape: tuple[int, int], params: WalkParams, margins: list,
                      run: int = 1):
@@ -366,7 +387,7 @@ def _step_gate_lists(provider: AngleProvider, j0: int, steps: int,
     per-site slices are held."""
     stacked = provider.uniform_in_space and run > 1
     th = provider.fields(j0, shape)
-    rec = _slice(th, j0)
+    rec = _slice(_narrow(th), j0)
     margins[:] = [rec.min_abs_det, 0.0]
     # the slice a run starts at, read by the run before; no per-site slice
     # is kept
@@ -384,7 +405,7 @@ def _step_gate_lists(provider: AngleProvider, j0: int, steps: int,
                                start)
             rec, nxt, held = times.part(np.s_[:-1]), times.part(np.s_[1:]), read[-1]
         else:
-            nxt = _slice(provider.fields(start + 1, shape), start + 1)
+            nxt = _slice(_narrow(provider.fields(start + 1, shape)), start + 1)
         te = _t_values(rec, nxt, params)
         top = np.abs(te).tolist() if stacked else [float(np.max(np.abs(te)))]
         margins[:] = [min(margins[0], nxt.min_abs_det), max(margins[1], *top)]
@@ -637,11 +658,15 @@ def _t_values(rec: _Slice, nxt: _Slice, params: WalkParams):
     _T_TERMS.  Taking a sign out of an entry of C^-1 negates its difference
     and its term exactly, so each term keeps its bits up to the sign, and
     adding a negated term is subtracting it.  Built in place, one term at a
-    time."""
+    time, on the wider of the two slices' shapes (:func:`_narrow`)."""
+    wide = np.broadcast_shapes(np.shape(rec.det), np.shape(nxt.det))
     t = None
     for a, b, sign in _T_TERMS:
         d = nxt.cos[b] / nxt.det
-        d -= rec.cos[b] / rec.det
+        if np.shape(d) == wide:
+            d -= rec.cos[b] / rec.det
+        else:
+            d = d - rec.cos[b] / rec.det
         d /= params.epsilon
         d *= rec.cos[a]
         if t is None:

@@ -5,10 +5,12 @@ live here, each written out on its own: the coin gates and the B^k
 matrices entry by entry, the frame fields and metric as plain 3x3 arrays
 (time-time entry 1, no time-space entries), the frame-field form of the
 walk's time-difference scalar, the continuum T0, the gamma algebra, the
-one-mode operators W0 and W1, and the large-scale expansion.
+one-mode operators W0 and W1, and the large-scale expansion.  Beside them,
+which tan kernel numpy runs, since a pinned digest of the walk depends on it.
 """
 
 import csv
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -24,6 +26,12 @@ def read_csv(path) -> tuple[list[str], list[list[float]]]:
         header = next(reader)
         rows = [[float(v) for v in row] for row in reader]
     return header, rows
+
+
+def tan_is_libm() -> bool:
+    """Whether numpy's array tan gives math.tan's bits."""
+    probe = np.linspace(0.0, 1.0, 1001)
+    return np.array_equal(np.tan(probe), [math.tan(v) for v in probe])
 
 
 def broadcast_grid(fn, xs, ys):
@@ -149,22 +157,30 @@ def gw_metric_reference(gw, t: float) -> np.ndarray:
     return g
 
 
-def _triad_pair(provider, j, p1, p2):
+def site_angle(provider, j: int, p1: int, p2: int, kl, shape):
+    """One angle of ``provider`` at time j and site (p1, p2) of an (L1, L2)
+    lattice; sites wrap with the periodic lattice."""
+    a = provider.fields(j, shape)[tuple(kl)]
+    return a if provider.uniform_in_space else a[p1 % shape[0], p2 % shape[1]]
+
+
+def _triad_pair(provider, j, p1, p2, shape):
     """Embedded 3x3 triad and dual triad at one site and time."""
-    triad = triad_from_angles(*(provider.angle(j, p1, p2, kl) for kl in KL_PAIRS))
+    triad = triad_from_angles(*(site_angle(provider, j, p1, p2, kl, shape)
+                                for kl in KL_PAIRS))
     return triad, dual_triad(triad)
 
 
-def _site_rates(provider, j, p1, p2, eps) -> list:
+def _site_rates(provider, j, p1, p2, eps, shape) -> list:
     """Centered differences of the dual triad along lattice axes 1 and 2."""
-    return [(_triad_pair(provider, j, p1 + dp1, p2 + dp2)[1]
-             - _triad_pair(provider, j, p1 - dp1, p2 - dp2)[1]) / eps
+    return [(_triad_pair(provider, j, p1 + dp1, p2 + dp2, shape)[1]
+             - _triad_pair(provider, j, p1 - dp1, p2 - dp2, shape)[1]) / eps
             for dp1, dp2 in ((1, 0), (0, 1))]
 
 
-def t_epsilon_compact(provider, j: int, p1: int, p2: int, params) -> float:
-    """The walk's T at one site by the frame-field contraction
-    -levi^{abc} eta_cd e^mu_(a) D_b e^(d)_mu.
+def t_epsilon_compact(provider, j: int, p1: int, p2: int, params, shape) -> float:
+    """The walk's T at one site of the (L1, L2) lattice ``shape`` by the
+    frame-field contraction -levi^{abc} eta_cd e^mu_(a) D_b e^(d)_mu.
 
     The derivative triple uses the forward time difference for b = 0 and
     centered site differences for b = 1, 2; the spatial terms vanish
@@ -172,18 +188,19 @@ def t_epsilon_compact(provider, j: int, p1: int, p2: int, params) -> float:
     agrees with ``walk.t_epsilon_field`` at the site to roundoff.
     """
     eps = params.epsilon
-    triad, dual = _triad_pair(provider, j, p1, p2)
-    rates = [(_triad_pair(provider, j + 1, p1, p2)[1] - dual) / eps]
-    rates += _site_rates(provider, j, p1, p2, eps)
+    triad, dual = _triad_pair(provider, j, p1, p2, shape)
+    rates = [(_triad_pair(provider, j + 1, p1, p2, shape)[1] - dual) / eps]
+    rates += _site_rates(provider, j, p1, p2, eps, shape)
     return -sum(sign * _ETA[c] * float(triad[:, a] @ rates[b][c, :])
                 for (a, b, c), sign in _LEVI.items())
 
 
-def spatial_nullity_terms(provider, j: int, p1: int, p2: int, params) -> tuple:
+def spatial_nullity_terms(provider, j: int, p1: int, p2: int, params, shape) -> tuple:
     """The two site-difference contractions K^i = levi^{ibc} e^mu_(b) eta_cd
-    D_i e^(d)_mu, identically zero for the embedded frames."""
-    triad, _ = _triad_pair(provider, j, p1, p2)
-    rates = _site_rates(provider, j, p1, p2, params.epsilon)
+    D_i e^(d)_mu on the (L1, L2) lattice ``shape``, identically zero for the
+    embedded frames."""
+    triad, _ = _triad_pair(provider, j, p1, p2, shape)
+    rates = _site_rates(provider, j, p1, p2, params.epsilon, shape)
     return tuple(sum(sign * _ETA[c] * float(triad[:, b] @ rates[i - 1][c, :])
                      for (a, b, c), sign in _LEVI.items() if a == i)
                  for i in (1, 2))

@@ -146,7 +146,7 @@ def test_criterion_06_appendix_identities():
             continue  # reject ill-conditioned histories, they are not valid inputs
         provider = walk.array_angles(angles)
         direct = walk.t_epsilon_field(provider, 0, (2, 2), params)
-        compact = oracles.t_epsilon_compact(provider, 0, 0, 0, params)
+        compact = oracles.t_epsilon_compact(provider, 0, 0, 0, params, (2, 2))
         worst_t = max(worst_t, abs(direct - compact))
         trials += 1
     assert worst_t < 1e-12

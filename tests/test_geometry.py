@@ -218,8 +218,8 @@ class TestGwAngleProvider:
                       k=1.0, k_prime=1.0)
         provider = gw_angle_provider(gw, epsilon=0.5)
         expected = gw_angles(gw, 3 * 0.5)
-        got = tuple(provider.angle(3, 0, 0, kl)
-                    for kl in ((1, 1), (1, 2), (2, 1), (2, 2)))
+        th = provider.fields(3, (2, 2))
+        got = tuple(th[kl] for kl in ((1, 1), (1, 2), (2, 1), (2, 2)))
         assert got == pytest.approx(expected)
         assert provider.uniform_in_space
 

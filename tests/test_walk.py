@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import math
 import tracemalloc
@@ -15,8 +16,8 @@ from gwalk.walk import (AngleProvider, SpinorField, WalkParams, array_angles, ev
                         flat_angles, plane_wave_transfer_matrix, pure_shear_angles, step,
                         t_epsilon_field, uniform_time_angles)
 
-from oracles import (coin_matrix, mode_w0_entries, mode_w1_entries, spatial_nullity_terms,
-                     t_epsilon_compact)
+from oracles import (coin_matrix, mode_w0_entries, mode_w1_entries, site_angle,
+                     spatial_nullity_terms, t_epsilon_compact, tan_is_libm)
 
 RNG_ANGLE_RANGES = ((0.1, 0.7), (0.9, 1.4))  # keeps the cosine matrix well conditioned
 
@@ -146,7 +147,7 @@ class TestArgumentKinds:
         (lambda: evolve(SpinorField.zeros((4, 4)), 0, 2.5, flat_angles(), WalkParams()),
          "steps"),
         (lambda: t_epsilon_field(flat_angles(), 1.5, (4, 4), WalkParams()), "j"),
-        (lambda: flat_angles().angle(1.5, 0, 0, (1, 1)), "j"),
+        (lambda: flat_angles().fields(1.5, (4, 4)), "j"),
         (lambda: step(SpinorField.zeros((4, 4)), 1.5, flat_angles(), WalkParams()), "j"),
         (lambda: evolve(SpinorField.zeros((4, 4)), 1.5, 2, flat_angles(), WalkParams()),
          "j"),
@@ -158,7 +159,7 @@ class TestArgumentKinds:
          "k1"),
         (lambda: plane_wave_transfer_matrix(flat_angles(), 0, 0.1, np.nan, WalkParams()),
          "k2"),
-    ], ids=["epsilon-bool", "steps-float", "t_epsilon_field-j-float", "angle-j-float",
+    ], ids=["epsilon-bool", "steps-float", "t_epsilon_field-j-float", "fields-j-float",
             "step-j-float", "evolve-j-float", "shear-xi-nan", "shear-g-nan", "t12-nan",
             "t22-inf", "k1-nan", "k2-nan"])
     def test_bad_argument_is_a_config_error_naming_it(self, make, name):
@@ -170,7 +171,8 @@ class TestArgumentKinds:
         for j in (np.int64(1), np.uint8(1)):
             assert np.array_equal(t_epsilon_field(provider, j, (4, 4), WalkParams()),
                                   t_epsilon_field(provider, 1, (4, 4), WalkParams()))
-            assert provider.angle(j, 1, 2, (2, 1)) == provider.angle(1, 1, 2, (2, 1))
+            assert site_angle(provider, j, 1, 2, (2, 1), (4, 4)) == \
+                site_angle(provider, 1, 1, 2, (2, 1), (4, 4))
 
     def test_numpy_scalars_are_numbers(self):
         params = WalkParams(epsilon=np.float64(0.5), mass=np.float32(0.25),
@@ -235,23 +237,23 @@ class TestTEpsilon:
         for _ in range(10):
             provider = random_history_provider(rng)
             direct = t_epsilon_field(provider, 0, (2, 2), params)
-            compact = t_epsilon_compact(provider, 0, 0, 0, params)
+            compact = t_epsilon_compact(provider, 0, 0, 0, params, (2, 2))
             assert abs(direct - compact) < 1e-12
 
     def test_compact_form_diagonal_and_constant(self):
         provider = uniform_time_angles(lambda t: 0.3 + 0.2 * np.sin(t),
                                        np.pi / 2, np.pi / 2,
                                        lambda t: 0.8 - 0.1 * np.cos(t))
-        assert abs(t_epsilon_compact(provider, 1, 0, 0, WalkParams())) < 1e-12
+        assert abs(t_epsilon_compact(provider, 1, 0, 0, WalkParams(), (2, 2))) < 1e-12
         rng = np.random.default_rng(5)
         const = random_uniform_provider(rng)
-        assert abs(t_epsilon_compact(const, 0, 0, 0, WalkParams())) < 1e-14
+        assert abs(t_epsilon_compact(const, 0, 0, 0, WalkParams(), (2, 2))) < 1e-14
 
     def test_spatial_terms_vanish_identically(self):
         rng = np.random.default_rng(6)
         provider = random_history_provider(rng, times=2, shape=(6, 6))
         for site in ((0, 0), (2, 3), (5, 5)):
-            k1, k2 = spatial_nullity_terms(provider, 0, *site, WalkParams())
+            k1, k2 = spatial_nullity_terms(provider, 0, *site, WalkParams(), (6, 6))
             assert abs(k1) < 1e-12 and abs(k2) < 1e-12
 
     def test_singular_cosine_matrix_rejected(self):
@@ -386,8 +388,8 @@ class TestEvolve:
 class TestAngleProviders:
     def test_provider_is_deterministic(self):
         provider = pure_shear_angles(1e-3, lambda t: np.sin(t))
-        a = provider.angle(3, 0, 0, (1, 2))
-        b = provider.angle(3, 5, 7, (1, 2))
+        a = site_angle(provider, 3, 0, 0, (1, 2), (8, 8))
+        b = site_angle(provider, 3, 5, 7, (1, 2), (8, 8))
         assert a == b
 
     def test_array_provider_bounds_check(self):
@@ -395,7 +397,7 @@ class TestAngleProviders:
         provider = random_history_provider(rng, times=2, shape=(4, 4))
         for j, message in ((2, "cover times"), (-1, "j must be an integer >= 0")):
             with pytest.raises(ConfigurationError, match=message):
-                provider.angle(j, 0, 0, (1, 1))
+                provider.fields(j, (4, 4))
 
     def test_fields_shapes(self):
         provider = flat_angles()
@@ -735,14 +737,14 @@ class TestFourierEvolve:
 class TestTimeSliceProperties:
     @given(walk_cases(uniform=False), st.integers(0, 1))
     def test_t_epsilon_field_matches_single_site_t_epsilon(self, case, wraps):
-        # the frame-field oracle reads provider.angle one site at a time, which
+        # the frame-field oracle reads one site's angles at a time, which
         # wraps sites periodically; the field path reads whole slices
         provider, params, shape, _ = case
         te = t_epsilon_field(provider, 0, shape, params)
         for p1 in range(shape[0]):
             for p2 in range(shape[1]):
                 site = (p1 - wraps * shape[0], p2 + wraps * shape[1])
-                compact = t_epsilon_compact(provider, 0, *site, params)
+                compact = t_epsilon_compact(provider, 0, *site, params, shape)
                 assert abs(te[p1, p2] - compact) < 1e-12 * max(1.0, abs(compact))
 
 
@@ -898,6 +900,30 @@ class TestEvolveMemory:
         assert peaks[1] <= peaks[0] + 0.01 * f.data.nbytes
         assert peaks[1] <= 9.5 * f.data.nbytes
 
+    @pytest.mark.parametrize("kind", ["p1", "p2"])
+    def test_one_axis_evolve_builds_its_gates_on_lines(self, kind):
+        # bound: measured 2.73 field sizes for either axis: the loop's copy
+        # and second buffer, and a scratch of one row piece (2.125); the two
+        # coefficient fields of the gate being applied, broadcast to the
+        # lattice (0.5); and the records, T and gate fields of columns or
+        # rows.  One more real (L1, L2) array, such as T or a record on the
+        # whole lattice, is 0.25 more; the whole-lattice path peaks at 9.39.
+        rng = np.random.default_rng(29)
+        provider = array_angles(varying_history(rng, (256, 256), [kind] * 8))
+        f = SpinorField.random((256, 256), rng)
+        params = WalkParams(epsilon=0.5, mass=0.3)
+        evolve(f, 0, 1, provider, params)
+        peaks = []
+        for steps in (2, 6):
+            tracemalloc.start()
+            try:
+                evolve(f, 0, steps, provider, params)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 0.01 * f.data.nbytes
+        assert peaks[1] <= 2.85 * f.data.nbytes
+
 
 # ---------------------------------------------------------------------------
 # gate rows in pieces
@@ -910,12 +936,6 @@ PINNED_EVOLVE = {
     False: "aefc6abc3a2e27f6ac12bee20551565b8db3b3ae122849556f0e29c2f824ef14",
     True: "65ff02582da0c259e9c100fb4bf0917244a226366878c2d58940bd83d523eee7",
 }
-
-
-def tan_is_libm() -> bool:
-    """Whether numpy's array tan gives math.tan's bits."""
-    probe = np.linspace(0.0, 1.0, 1001)
-    return np.array_equal(np.tan(probe), [math.tan(v) for v in probe])
 
 
 def random_gates(rng, shape, chain):
@@ -960,6 +980,145 @@ class TestRowPieces:
         with mock.patch.object(walk, "_CHUNK", chunk):
             out = evolve(f, 0, 1, provider, params)
         assert out.data.tobytes() == expected.data.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# per-site slices that vary along one axis
+# ---------------------------------------------------------------------------
+
+#: the sites over which a slice's random angles vary, by what they vary
+#: along: a wave along p1 is constant along p2, and "none" is constant
+VARIES = {"both": lambda shape: shape, "p1": lambda shape: (shape[0], 1),
+          "p2": lambda shape: (1, shape[1]), "none": lambda shape: (1, 1)}
+
+
+def varying_history(rng, shape, kinds):
+    """Random, well-conditioned angle stacks on an (L1, L2) lattice whose
+    slice j varies along kinds[j] (:data:`VARIES`), for array_angles."""
+    arrays = {kl: np.empty((len(kinds), *shape)) for kl in walk.KL_PAIRS}
+    for j, kind in enumerate(kinds):
+        for kl, a in arrays.items():
+            a[j] = rng.uniform(*RNG_ANGLE_RANGES[kl[0] != kl[1]], VARIES[kind](shape))
+    return arrays
+
+
+def whole_lattice():
+    """A patch of the step's reader that keeps every per-site slice whole."""
+    return mock.patch.object(walk, "_narrow", lambda th: th)
+
+
+def read_shapes(monkeypatch) -> list:
+    """The list that gets the set of angle shapes of each slice walk._slice reads."""
+    shapes, read = [], walk._slice
+    monkeypatch.setattr(walk, "_slice", lambda th, j: shapes.append(
+        {np.shape(a) for a in th.values()}) or read(th, j))
+    return shapes
+
+
+@st.composite
+def one_axis_cases(draw, times=6):
+    """A history of waves along p1, along p2, or of slices that switch from
+    one time to the next between both axes and either one; walk parameters,
+    lattice shape and rng."""
+    shape = tuple(draw(st.sampled_from((2, 6, 10, 14))) for _ in range(2))
+    kinds = draw(st.one_of(
+        st.sampled_from(["p1", "p2"]).map(lambda kind: [kind] * times),
+        st.lists(st.sampled_from(["both", "p1", "p2"]), min_size=times, max_size=times)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    params = WalkParams(epsilon=draw(st.floats(0.05, 1.5)), mass=draw(st.floats(0.0, 2.0)))
+    return array_angles(varying_history(rng, shape, kinds)), params, shape, rng
+
+
+class TestOneAxisSlices:
+    # odd pieces of a gate row start and end inside the lines' broadcasts
+    @given(one_axis_cases(), st.integers(0, 1), st.integers(0, 4), st.integers(0, 31))
+    def test_evolve_on_lines_has_the_bits_of_the_whole_lattice(self, case, j0, steps, half):
+        provider, params, shape, rng = case
+        f = SpinorField.random(shape, rng)
+        with mock.patch.object(walk, "_CHUNK", 2 * half + 1):
+            run = walk._time_loop(f, j0, steps, provider, params)
+            with whole_lattice():
+                whole = walk._time_loop(f, j0, steps, provider, params)
+        assert run.field.data.tobytes() == whole.field.data.tobytes()
+        assert run.norms == whole.norms
+        assert (run.min_abs_det_c, run.max_abs_t_eps) == (whole.min_abs_det_c,
+                                                           whole.max_abs_t_eps)
+
+    # a slice constant along both axes is read as columns
+    @pytest.mark.parametrize("kind, read", [("both", (6, 8)), ("p1", (6, 1)),
+                                            ("p2", (1, 8)), ("none", (6, 1))])
+    def test_slice_is_read_on_the_lattice_or_on_lines(self, monkeypatch, kind, read):
+        rng = np.random.default_rng(61)
+        provider = array_angles(varying_history(rng, (6, 8), [kind] * 4))
+        shapes = read_shapes(monkeypatch)
+        evolve(SpinorField.random((6, 8), rng), 0, 3, provider, WalkParams(mass=0.3))
+        assert shapes == [{read}] * 4
+
+    # slice 1 of th11 is one ulp, a signed zero or a NaN off its line at (3, 5)
+    @pytest.mark.parametrize("edit", ["ulp", "signed zero", "nan"])
+    @pytest.mark.parametrize("kind, read", [("p1", (6, 1)), ("p2", (1, 8))])
+    def test_one_site_off_the_line_keeps_the_whole_lattice(self, monkeypatch, edit, kind,
+                                                           read):
+        rng = np.random.default_rng(62)
+        arrays = varying_history(rng, (6, 8), [kind] * 3)
+        th = arrays[(1, 1)]
+        if edit == "ulp":
+            th[1, 3, 5] = np.nextafter(th[1, 3, 5], np.inf)
+        elif edit == "signed zero":
+            th[1] = 0.0
+            th[1, 3, 5] = -0.0
+        else:
+            th[1, 3, 5] = np.nan
+        provider = array_angles(arrays)
+        shapes = read_shapes(monkeypatch)
+        f = SpinorField.random((6, 8), rng)
+        with (pytest.raises(GeometryError, match=r"j=1, site \(3, 5\)$") if edit == "nan"
+              else contextlib.nullcontext()):
+            evolve(f, 0, 2, provider, WalkParams())
+        assert shapes[:2] == [{read}, {(6, 8)}]
+
+    def test_slice_that_is_not_float64_keeps_the_whole_lattice(self, monkeypatch):
+        rng = np.random.default_rng(63)
+        inner = array_angles(varying_history(rng, (6, 8), ["p1"] * 2))
+        provider = AngleProvider(lambda j: tuple(
+            inner.fields(j, (6, 8))[kl].astype(np.float32) for kl in walk.KL_PAIRS))
+        shapes = read_shapes(monkeypatch)
+        step(SpinorField.random((6, 8), rng), 0, provider, WalkParams())
+        assert shapes == [{(6, 8)}] * 2
+
+    # read from j0 = 1, slice 1 is the first one read and slice 2 the one
+    # ahead of step 1; a singular line names the first site of the whole
+    # slice in row-major order
+    @pytest.mark.parametrize("kind, site", [("p1", (4, 0)), ("p2", (0, 5))])
+    @pytest.mark.parametrize("at", [1, 2])
+    def test_singular_line_names_the_time_and_site_of_the_whole_slice(self, kind, site, at):
+        rng = np.random.default_rng(64)
+        arrays = varying_history(rng, (6, 8), [kind] * 4)
+        line = np.s_[at, site[0], :] if kind == "p1" else np.s_[at, :, site[1]]
+        for kl_a, kl_b in (((1, 1), (2, 1)), ((1, 2), (2, 2))):
+            arrays[kl_b][line] = arrays[kl_a][line]
+        provider = array_angles(arrays)
+        f = SpinorField.random((6, 8), rng)
+        message = rf"j={at}, site \({site[0]}, {site[1]}\)$"
+        for patch in (contextlib.nullcontext, whole_lattice):
+            with patch():
+                for run in (lambda: evolve(f, 1, 2, provider, WalkParams()),
+                            lambda: step(f, 1, provider, WalkParams()),
+                            lambda: t_epsilon_field(provider, 1, (6, 8), WalkParams())):
+                    with pytest.raises(GeometryError, match=message):
+                        run()
+
+    @pytest.mark.parametrize("kind", ["p1", "p2", "none"])
+    def test_t_epsilon_field_and_fields_stay_on_the_lattice(self, kind):
+        rng = np.random.default_rng(65)
+        provider = array_angles(varying_history(rng, (6, 8), [kind] * 2))
+        params = WalkParams(epsilon=0.7)
+        assert {a.shape for a in provider.fields(0, (6, 8)).values()} == {(6, 8)}
+        te = t_epsilon_field(provider, 0, (6, 8), params)
+        assert te.shape == (6, 8)
+        lines = walk._t_values(*(walk._slice(walk._narrow(provider.fields(j, (6, 8))), j)
+                                 for j in (0, 1)), params)
+        assert np.broadcast_to(lines, (6, 8)).tobytes() == te.tobytes()
 
 
 # ---------------------------------------------------------------------------
