@@ -40,11 +40,17 @@ the float operations it runs on the whole lattice, so no bit changes.
 :func:`t_epsilon_field` and ``AngleProvider.fields`` stay (L1, L2).
 
 Every gate is K * [[c, s], [s, c]] entrywise with K's entries in
-{+-1, +-i}.  Per-site gates are applied as real gates: the field is held
-as diag(phase) x with a pair of such unit phases, so that each output row
-is a x_0 +- b x_1 with the real fields a and b, and the unit factor moves
-into the phase (see :func:`_apply`).  Scalar gates absorb the phase, and
-what is left of it is applied once, at the end.
+{+-1, +-i}.  The real-space step holds the field as diag(phase) x with a
+pair of such unit phases, and x as real planes, (component, re/im, site)
+float64 in the bytes of a complex buffer.  Each output row of a per-site
+gate is then a x_0 + b y on each plane, with the real fields a and b and
+y's planes and signs picked from x_1's by the phase, which takes the unit
+factor (:func:`_apply`); Pi and Pi^-1 run so too, each entry a unit times
+1/sqrt(2).  Any other scalar gate, such as the fused gates of a
+space-uniform step, runs on complex values and absorbs the phase.  The
+field is copied into the other layout, exactly, only where the kind of
+gate changes: a space-uniform step never, a run of per-site steps once at
+each end, where what is left of the phase goes into the copy.
 
 For space-uniform angles every Fourier mode k = (k1, k2) evolves on its
 own, and each shift S_k acts on it as the phase pair (e^{ik}, e^{-ik}).
@@ -78,10 +84,10 @@ Per-site angles are stepped in real space, through two field buffers and
 a scratch array that the loop allocates once.  A gate runs over pieces of
 at most _CHUNK = 2^14 sites, both of its rows per piece, so that the
 piece's source, product and sum stay in cache; the scratch holds one
-piece's temporary (256 KiB).  A gate whose fields are columns or rows
-broadcasts them to the lattice once, while it is applied.  All public
-operations are pure: they read only the input field and return a fresh
-array.
+piece's temporary (256 KiB), complex or both its planes.  A gate whose
+fields are columns or rows broadcasts them to the lattice once, while it
+is applied.  All public operations are pure: they read only the input
+field and return a fresh array.
 """
 
 from __future__ import annotations
@@ -511,62 +517,142 @@ def _rolls(l1: int, l2: int) -> dict:
     return {axis: list(pieces(pull)) for axis, pull in pulls.items()}
 
 
-def _apply(src: np.ndarray, spare: np.ndarray, scratch: np.ndarray, gates,
-           phase=(1, 1)) -> tuple:
-    """Apply the gates in order to x = diag(phase) src, ping-ponging between
-    the (2, L1, L2) arrays `src` and `spare`, both overwritten; `scratch`
-    holds one piece of a row (:func:`_scratch`).  Returns (out, the free
-    buffer, phase'), where the result is diag(phase') out.
+def _adds(signs) -> tuple:
+    """(pair, ufunc) that add `signs` times a row piece's temporary to it,
+    where pair 0 holds both planes and pairs 1 and 2 one each
+    (:func:`_pieces`): one call where both signs agree."""
+    ops = [np.add if sign > 0 else np.subtract for sign in signs]
+    return ((0, ops[0]),) if ops[0] is ops[1] else ((1, ops[0]), (2, ops[1]))
+
+
+#: rho y for a unit rho, on the real planes (re, im) of y: whether to take
+#: them swapped, their signs and the adds of those signs
+_UNITS = {rho: (swap, signs, _adds(signs)) for rho, swap, signs in (
+    (1, 0, (1.0, 1.0)), (-1, 0, (-1.0, -1.0)), (1j, 1, (-1.0, 1.0)), (-1j, 1, (1.0, -1.0)))}
+
+
+def _planes(buf: np.ndarray) -> np.ndarray:
+    """The bytes of a (2, ...) complex buffer as (component, re/im, site)
+    float64 planes."""
+    return buf.view(np.float64).reshape(2, 2, -1)
+
+
+def _relayout(src: np.ndarray, out: np.ndarray, planar: bool, phase=(1, 1)) -> np.ndarray:
+    """Copy the (2, ...) buffer `src` into `out` in the other layout: complex
+    values into real planes, or, when `planar`, planes into the complex
+    values of diag(phase) x.  Exact: each value is copied or negated.
+    Returns `out`."""
+    def values(buf):
+        return buf.view(np.float64).reshape(2, -1, 2).transpose(0, 2, 1)
+
+    x, y = (_planes(src), values(out)) if planar else (values(src), _planes(out))
+    for comp, p in enumerate(phase):
+        swap, signs, _ = _UNITS[p]
+        np.multiply(x[comp, ::-1 if swap else 1], np.array(signs)[:, None], out=y[comp])
+    return out
+
+
+def _plane_norm(buf: np.ndarray) -> float:
+    """2-norm of the real-space loop's field from the four quarters of its
+    bytes, its planes when it is on planes: the sum of squares of each by
+    einsum, and of those four by math.fsum.  Sums over a quarter of the
+    values each lie closer to an exact sum than one over all of them."""
+    quarters = buf.view(np.float64).reshape(4, -1)
+    return math.sqrt(math.fsum(np.einsum("i,i", q, q) for q in quarters))
+
+
+def _pieces(bufs, scratch: np.ndarray, planar: bool, axis: int, src: int) -> list:
+    """Views for each piece of both rows of a gate that shifts along `axis`
+    (:func:`_rolls`), read from bufs[src] and written to the other buffer,
+    on planes or on complex values: (row, source sites, x_0, (x_1, and on
+    planes x_1 with its planes swapped), (output, temporary) pairs of both
+    planes and, on planes, of each)."""
+    x, out = (b.reshape(2, -1) for b in (bufs[src], bufs[1 - src]))
+    temp = scratch
+    if planar:
+        x, out, temp = _planes(x), _planes(out), scratch.view(np.float64).reshape(2, -1)
+    pieces = []
+    for pull in _rolls(*bufs[0].shape[1:])[axis]:
+        for row, (dst, at) in enumerate((pull, pull[::-1])):
+            o = out[row, ..., dst]
+            t = temp[..., :o.shape[-1]]
+            if planar:
+                pieces.append((row, at, x[0, :, at], (x[1, :, at], x[1, ::-1, at]),
+                               ((o, t), (o[0], t[0]), (o[1], t[1]))))
+            else:
+                pieces.append((row, at, x[0, at], (x[1, at],), ((o, t),)))
+    return pieces
+
+
+def _apply(bufs, scratch: np.ndarray, pieces: dict, gates, src: int = 0,
+           phase=(1, 1), planar: bool = False) -> tuple:
+    """Apply the gates in order to x = diag(phase) bufs[src], ping-ponging
+    between the two (2, L1, L2) buffers `bufs`, both overwritten; x is on
+    real planes (:func:`_planes`) when `planar`, else complex values, and
+    `scratch` holds one piece of a row (:func:`_scratch`).  `pieces` keeps
+    each kind of gate's :func:`_pieces` for the buffers.  Returns (src',
+    phase', planar'), where the result is diag(phase') bufs[src'].
 
     The phases are units in {+-1, +-i}.  Row r of a per-site gate
-    K * [[c, s], [s, c]] is psi_r (a x_0 + rho_r b x_1) on the stored x,
-    with (a, b) = (c, s) or (s, c), psi_r = K_r0 phase_0 and
-    rho_r = K_r1 phase_1 / psi_r, and psi becomes the phase: only the real
-    fields multiply the field.  Where rho_r = +-i, the stored x_1 is first
-    multiplied by i.  A scalar gate absorbs the phase into its matrix.
+    K * [[c, s], [s, c]] is psi_r (a x_0 + rho_r b x_1), with (a, b) = (c, s)
+    or (s, c), psi_r = K_r0 phase_0 and rho_r = K_r1 phase_1 / psi_r, and
+    psi becomes the phase.  On planes that is a x_0 + b y on re and on im,
+    where rho_r picks y's planes and signs from x_1's (:data:`_UNITS`), so
+    only real fields multiply real planes.  A scalar gate runs so too if
+    each entry of K diag(phase) is real or imaginary and x is on planes, as
+    Pi and Pi^-1 of a per-site step are.  Any other scalar gate runs on
+    complex values and absorbs the phase: numpy's complex multiply does not
+    round as separate real products do, so only there does it keep its bits.
+    Where a gate needs the other layout, x is first copied into the free
+    buffer in that layout (:func:`_relayout`).
     """
-    shape = src.shape
-    rolls = _rolls(*shape[1:])
-    src, spare = src.reshape(2, -1), spare.reshape(2, -1)
+    shape = bufs[0].shape
     for k, fields, axis in gates:
-        if fields is None:
-            coef, ops = k * np.asarray(phase), (np.add, np.add)
-            phase = (1, 1)
+        unit = k * np.asarray(phase)
+        real = fields is not None or (
+            planar and not np.any((unit.real != 0) & (unit.imag != 0)))
+        if real != planar:
+            _relayout(bufs[src], bufs[1 - src], planar)
+            src, planar = 1 - src, real
+        if not real:
+            coef, phase = unit, (1, 1)
         else:
-            if (k[0, 1] * phase[1] * np.conj(k[0, 0] * phase[0])).imag:
-                np.multiply(src[1], 1j, out=src[1])
-                phase = (phase[0], -1j * phase[1])
-            psi = k[:, 0] * phase[0]
-            rho = k[:, 1] * phase[1] * np.conj(psi)
-            c, s = (np.broadcast_to(f, shape[1:]).reshape(-1) for f in fields)
-            coef, ops = ((c, s), (s, c)), tuple(np.add if r.real > 0 else np.subtract
-                                                for r in rho)
-            phase = tuple(psi)
+            if fields is None:
+                # a unit times each real entry: its real part, or its imaginary one
+                coef = np.broadcast_to((unit.real + unit.imag)[..., None],
+                                       (2, 2, shape[1] * shape[2]))
+                unit = np.where(unit.imag == 0, 1, 1j)
+            else:
+                c, s = (np.broadcast_to(f, shape[1:]).reshape(-1) for f in fields)
+                coef = ((c, s), (s, c))
+            units = (_UNITS[u1 * np.conj(u0)] for u0, u1 in unit)
+            coef = [(a, b, swap, adds) for (a, b), (swap, _, adds) in zip(coef, units)]
+            phase = tuple(unit[:, 0])
+        key = (real, axis, src)
+        if key not in pieces:
+            pieces[key] = _pieces(bufs, scratch, *key)
         # both rows of a piece run while its source is in cache
-        for pull in rolls[axis]:
-            for row, (dst, at) in enumerate((pull, pull[::-1])):
-                a, b = coef[row]
-                o = spare[row, dst]
-                t = scratch[:o.size]
-                np.multiply(src[0, at], a if fields is None else a[at], out=o)
-                np.multiply(src[1, at], b if fields is None else b[at], out=t)
-                ops[row](o, t, out=o)
-        src, spare = spare, src
+        for row, at, x0, x1, pairs in pieces[key]:
+            o, t = pairs[0]
+            if not real:
+                np.multiply(x0, coef[row, 0], out=o)
+                np.multiply(x1[0], coef[row, 1], out=t)
+                o += t
+                continue
+            a, b, swap, adds = coef[row]
+            np.multiply(x0, a[at], out=o)
+            np.multiply(x1[swap], b[at], out=t)
+            for pair, add in adds:
+                add(*pairs[pair], out=pairs[pair][0])
+        src = 1 - src
         # drop this gate's fields before the lazy list builds the next gate
         k = fields = coef = c = s = a = b = None
-    return src.reshape(shape), spare.reshape(shape), phase
-
-
-def _unphased(data: np.ndarray, phase) -> np.ndarray:
-    """diag(phase) data, in place; multiplying by +-1 or +-i is exact."""
-    for comp, p in enumerate(phase):
-        if p != 1:
-            data[comp] *= p
-    return data
+    return src, phase, planar
 
 
 def _scratch(shape) -> int:
-    """Length of :func:`_apply`'s scratch for (2, L1, L2) fields: one piece."""
+    """Length of :func:`_apply`'s complex scratch for (2, L1, L2) fields:
+    one piece, whose two real planes it also holds."""
     return min(shape[1] * shape[2], _CHUNK)
 
 
@@ -755,14 +841,17 @@ def _real_steps(data: np.ndarray, gate_lists) -> tuple[np.ndarray, list[float]]:
     """Step a copy of the (2, L1, L2) array `data`, which is only read, in
     real space, one step per gate list in `gate_lists` (module docstring);
     returns the result and the norm after each step."""
-    src, spare, scratch = (_paged(shape, offset) for shape, offset in zip(
-        (data.shape, data.shape, _scratch(data.shape)), _PAGE_OFFSETS))
-    src[...] = data
-    phase, norms = (1, 1), []
+    bufs = [_paged(data.shape, offset) for offset in _PAGE_OFFSETS[:2]]
+    scratch = _paged(_scratch(data.shape), _PAGE_OFFSETS[2])
+    bufs[0][...] = data
+    state, pieces, norms = (0, (1, 1), False), {}, []
     for gates in gate_lists:
-        src, spare, phase = _apply(src, spare, scratch, _fused(gates), phase)
-        norms.append(_norm(src))
-    return _unphased(src, phase), norms
+        state = _apply(bufs, scratch, pieces, _fused(gates), *state)
+        norms.append(_plane_norm(bufs[state[0]]))
+    src, phase, planar = state
+    if planar:
+        return _relayout(bufs[src], bufs[1 - src], True, phase), norms
+    return bufs[src], norms
 
 
 #: space-uniform steps per run, whose slices, T and gates are built at once

@@ -6,7 +6,9 @@ matrices entry by entry, the frame fields and metric as plain 3x3 arrays
 (time-time entry 1, no time-space entries), the frame-field form of the
 walk's time-difference scalar, the continuum T0, the gamma algebra, the
 one-mode operators W0 and W1, and the large-scale expansion.  Beside them,
-which tan kernel numpy runs, since a pinned digest of the walk depends on it.
+the real-space loop as it ran on complex values, the reference for the bits
+of the loop on real planes; and which tan kernel and complex multiply numpy
+runs, since pinned digests of the walk depend on them.
 """
 
 import csv
@@ -15,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from gwalk import walk
 from gwalk.spectral import _amplitude_parts
 from gwalk.walk import KL_PAIRS
 
@@ -32,6 +35,20 @@ def tan_is_libm() -> bool:
     """Whether numpy's array tan gives math.tan's bits."""
     probe = np.linspace(0.0, 1.0, 1001)
     return np.array_equal(np.tan(probe), [math.tan(v) for v in probe])
+
+
+def complex_mul_is_fused() -> bool:
+    """Whether numpy's complex multiply rounds otherwise than its four real
+    products and two sums, each rounded on its own (as when it fuses a
+    multiply and an add).  When it does, a general complex gate gives its
+    bits only as a complex multiply, which is why the real-space loop runs
+    the fused gates of a space-uniform step on complex values."""
+    rng = np.random.default_rng(0)
+    x, k = (rng.standard_normal(1001) + 1j * rng.standard_normal(1001) for _ in range(2))
+    parts = np.empty_like(x)
+    parts.real = x.real * k.real - x.imag * k.imag
+    parts.imag = x.real * k.imag + x.imag * k.real
+    return not np.array_equal((x * k).view(np.float64), parts.view(np.float64))
 
 
 def broadcast_grid(fn, xs, ys):
@@ -87,6 +104,49 @@ def hamiltonian_entries(data, c11, c12, c21, c22, mass_like, epsilon):
     out0 += -0.5j * ((-dx_c11 - dy_c21) * f0 + (-1j * dx_c12 - 1j * dy_c22) * f1)
     out1 += -0.5j * ((1j * dx_c12 + 1j * dy_c22) * f0 + (dx_c11 + dy_c21) * f1)
     return np.stack((out0 + mass_like * f1, out1 + mass_like * f0))
+
+
+# ---------------------------------------------------------------------------
+# the real-space loop on complex values
+# ---------------------------------------------------------------------------
+
+def complex_real_steps(data, gate_lists) -> tuple[np.ndarray, list[float]]:
+    """walk._real_steps as it ran on complex values, whole rows at a time:
+    the result of the gate lists applied to a copy of the (2, L1, L2) array
+    `data`, and the norm after each step.
+
+    The field is held as diag(phase) x with units in {+-1, +-i}.  Row r of a
+    per-site gate K * [[c, s], [s, c]] is psi_r (a x_0 + rho_r b x_1), with
+    (a, b) = (c, s) or (s, c), psi_r = K_r0 phase_0 and rho_r = K_r1
+    phase_1 / psi_r; x times a real field is a complex multiply by a + 0i,
+    and where rho_r = +-i, x_1 is first multiplied by i.  A scalar gate
+    absorbs the phase into its matrix; the phase left is applied at the end."""
+    x, phase, norms = np.array(data, dtype=complex), (1, 1), []
+    for gates in gate_lists:
+        for k, fields, axis in walk._fused(iter(gates)):
+            if fields is None:
+                coef, ops = k * np.asarray(phase), (np.add, np.add)
+                phase = (1, 1)
+            else:
+                if (k[0, 1] * phase[1] * np.conj(k[0, 0] * phase[0])).imag:
+                    x[1] *= 1j
+                    phase = (phase[0], -1j * phase[1])
+                psi = k[:, 0] * phase[0]
+                rho = k[:, 1] * phase[1] * np.conj(psi)
+                c, s = (np.broadcast_to(f, x.shape[1:]) for f in fields)
+                coef = ((c, s), (s, c))
+                ops = tuple(np.add if r.real > 0 else np.subtract for r in rho)
+                phase = tuple(psi)
+            rows = [op(x[0] * a, x[1] * b) for (a, b), op in zip(coef, ops)]
+            if axis:
+                # S_k pulls the first component from p+1, the second from p-1
+                rows = [np.roll(rows[0], -1, axis - 1), np.roll(rows[1], 1, axis - 1)]
+            x = np.stack(rows)
+        norms.append(walk._norm(x))
+    for comp, p in enumerate(phase):
+        if p != 1:
+            x[comp] *= p
+    return x, norms
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from gwalk.walk import (AngleProvider, SpinorField, WalkParams, array_angles, ev
                         flat_angles, plane_wave_transfer_matrix, pure_shear_angles, step,
                         t_epsilon_field, uniform_time_angles)
 
-from oracles import (coin_matrix, mode_w0_entries, mode_w1_entries, site_angle,
-                     spatial_nullity_terms, t_epsilon_compact, tan_is_libm)
+from oracles import (coin_matrix, complex_real_steps, mode_w0_entries, mode_w1_entries,
+                     site_angle, spatial_nullity_terms, t_epsilon_compact, tan_is_libm)
 
 RNG_ANGLE_RANGES = ((0.1, 0.7), (0.9, 1.4))  # keeps the cosine matrix well conditioned
 
@@ -1119,6 +1119,126 @@ class TestOneAxisSlices:
         lines = walk._t_values(*(walk._slice(walk._narrow(provider.fields(j, (6, 8))), j)
                                  for j in (0, 1)), params)
         assert np.broadcast_to(lines, (6, 8)).tobytes() == te.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the real-space loop on real planes
+# ---------------------------------------------------------------------------
+
+def plane_chain(rng, shape, chain) -> list:
+    """Gate tuples of a chain of (kind, axis, sites) draws: a coin gate on
+    random angles that vary over `sites` (:data:`VARIES`), Pi or Pi^-1."""
+    coins = {"Q": walk._Q_K, "R": walk._R_K, "U": walk._U_K, "UR": walk._UR_K}
+    gates = []
+    for kind, axis, sites in chain:
+        if kind in coins:
+            alpha = rng.uniform(-3, 3, VARIES[sites](shape))
+            gates.append(walk._gate(coins[kind], np.cos(alpha), np.sin(alpha), axis))
+        else:
+            gates.append((walk.PI_MATRIX if kind == "PI" else walk.PI_INV_MATRIX, None, axis))
+    return gates
+
+
+def per_site_runs(monkeypatch) -> list:
+    """The list that gets, for each layout change of the real-space loop,
+    whether it left real planes."""
+    changes, relayout = [], walk._relayout
+    monkeypatch.setattr(walk, "_relayout", lambda src, out, planar, *phase: (
+        changes.append(planar) or relayout(src, out, planar, *phase)))
+    return changes
+
+
+CHAINS = st.lists(st.tuples(st.sampled_from(["Q", "R", "U", "UR", "PI", "PI_INV"]),
+                            st.integers(0, 2), st.sampled_from(["both", "p1", "p2"])),
+                  min_size=1, max_size=8)
+
+
+class TestRealPlanes:
+    # steps of the gates a step is made of, in chains that take every rho
+    # (test_chain_takes_every_rho) and run Pi and Pi^-1 on complex values,
+    # before the first per-site gate, and on planes; a small _CHUNK cuts rows
+    # into pieces with odd remainders, and the wrapping column too
+    @given(st.integers(1, 64), st.sampled_from([(2, 2), (6, 10), (10, 4), (14, 6)]),
+           st.lists(CHAINS, min_size=1, max_size=3), st.integers(0, 2 ** 32 - 1))
+    def test_planar_loop_has_the_bits_of_the_complex_loop(self, chunk, shape, steps, seed):
+        rng = np.random.default_rng(seed)
+        data = SpinorField.random(shape, rng).data
+        lists = [plane_chain(rng, shape, chain) for chain in steps]
+        expected, expected_norms = complex_real_steps(data, lists)
+        with mock.patch.object(walk, "_CHUNK", chunk):
+            out, norms = walk._real_steps(data, [iter(gates) for gates in lists])
+        assert out.tobytes() == expected.tobytes()
+        assert np.abs(np.subtract(norms, expected_norms)).max() < 1e-14
+
+    def test_chain_takes_every_rho(self, monkeypatch):
+        # the phase R leaves turns the next gates' rho from +-1 to +-i; the
+        # chain starts on planes, so that no layout copy looks a phase up
+        rng = np.random.default_rng(71)
+        gates = plane_chain(rng, (4, 6), [("R", 1, "both"), ("R", 1, "p1"), ("Q", 2, "p2")])
+        data = SpinorField.random((4, 6), rng).data
+        assert (walk._real_steps(data, [iter(gates)])[0].tobytes()
+                == complex_real_steps(data, [gates])[0].tobytes())
+        rhos = []
+
+        class Units(dict):
+            def __getitem__(self, rho):
+                rhos.append(complex(rho))
+                return super().__getitem__(rho)
+
+        monkeypatch.setattr(walk, "_UNITS", Units(walk._UNITS))
+        bufs = [data.copy(), np.empty_like(data)]
+        walk._apply(bufs, np.empty(walk._scratch(data.shape), complex), {}, iter(gates),
+                    planar=True)
+        assert set(rhos) == {1, -1, 1j, -1j}
+
+    def test_layout_changes_only_at_the_ends_of_a_per_site_run(self, monkeypatch):
+        changes = per_site_runs(monkeypatch)
+        rng = np.random.default_rng(72)
+        f = SpinorField.random((6, 8), rng)
+        params = WalkParams(epsilon=0.6, mass=0.4)
+        step(f, 0, random_uniform_provider(rng), params)
+        assert changes == []
+        provider = random_history_provider(rng, times=5, shape=(6, 8))
+        step(f, 0, provider, params)
+        assert changes == [False, True]
+        evolve(f, 0, 3, provider, params)
+        assert changes == [False, True] * 2
+
+    # a delta's exact zeros are where the two loops could differ in the sign
+    # of zero: the planar loop leaves -0.0 at half of them, where the complex
+    # loop gave 0.0, so its values match and its bytes do up to those signs
+    @pytest.mark.parametrize("kind", ["both", "p1", "p2"])
+    def test_delta_start_keeps_its_values(self, kind):
+        rng = np.random.default_rng(73)
+        provider = array_angles(varying_history(rng, (6, 10), [kind] * 5))
+        params = WalkParams(epsilon=0.7, mass=0.3)
+        f = SpinorField.delta((6, 10), (2, 3), 1, 0.6 - 0.8j)
+        lists = [list(gates) for gates in walk._step_gate_lists(provider, 0, 3, (6, 10),
+                                                                 params, [])]
+        expected = complex_real_steps(f.data, lists)[0]
+        out = walk._time_loop(f, 0, 3, provider, params).field.data
+        assert np.array_equal(out, expected)
+        assert (out + 0.0).tobytes() == (expected + 0.0).tobytes()
+
+    def test_per_site_norms_lie_close_to_an_exact_sum(self):
+        # bound: the norm after each step against the root of a math.fsum of
+        # the squared parts; measured 4.4e-16.  One einsum over the whole
+        # field, as the complex loop took it, read up to 1.11e-15 here
+        params = WalkParams(epsilon=0.7, mass=0.3)
+        worst = worst_complex = 0.0
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            provider = random_history_provider(rng, times=6, shape=(64, 48))
+            f = SpinorField.random((64, 48), rng)
+            for steps in range(1, 5):
+                run = walk._time_loop(f, 0, steps, provider, params)
+                lists = walk._step_gate_lists(provider, 0, steps, (64, 48), params, [])
+                complex_norm = complex_real_steps(f.data, [list(g) for g in lists])[1][-1]
+                squares = run.field.data.view(np.float64).ravel() ** 2
+                exact = math.sqrt(math.fsum(squares.tolist()))
+                worst = max(worst, abs(run.norms[-1] - exact))
+                worst_complex = max(worst_complex, abs(complex_norm - exact))
+        assert worst <= min(5.6e-16, worst_complex)
 
 
 # ---------------------------------------------------------------------------
